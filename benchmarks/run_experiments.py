@@ -44,7 +44,7 @@ from repro.analysis.tables import print_table
 from repro.baselines.named_consensus import NamedConsensus, PaddedAlgorithm
 from repro.baselines.named_mutex import PetersonMutex, TournamentMutex
 from repro.baselines.named_renaming import ElectionChainRenaming
-from repro.cliflags import positive_workers
+from repro.cliflags import reject_flag
 from repro.core.consensus import AnonymousConsensus
 from repro.core.election import AnonymousElection
 from repro.core.mutex import AnonymousMutex
@@ -68,9 +68,8 @@ from repro.runtime.adversary import (
     StagedObstructionAdversary,
     standard_adversaries,
 )
-from repro.runtime.backends import resolve_backend
+from repro.runtime.backends import SerialBackend
 from repro.runtime.canonical import TrivialCanonicalizer, build_canonicalizer
-from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import explore, mutual_exclusion_invariant
 from repro.runtime.system import System
 from repro.spec.consensus_spec import (
@@ -412,11 +411,6 @@ def e14_performance(rng_seed=5):
 #: orbit strings previously-parallel branches into longer chains).
 BENCH_BUDGETS = {"max_states": 500_000, "max_depth": 1_000_000}
 
-#: Worker counts of the v8 parallel speedup curve (``--backend
-#: parallel`` records one point per count on every bench instance).
-CURVE_WORKERS = (1, 2, 4, 8)
-
-
 def _bench_instances(quick):
     """(label, factory, invariant, overrides, spec, instance) rows,
     projected from the problem registry's ``"bench"``-role instances
@@ -616,30 +610,22 @@ def _bench_fuzz(rng_seed, episodes=32):
     }
 
 
-def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
-                          telemetry_dir=None, kernel="interpreted",
+def exploration_benchmark(quick=False, rng_seed=5, telemetry_dir=None,
                           max_states=None):
-    """Run every instance under both engines; return the JSON document.
+    """Run every instance on the default walker and its oracle; return
+    the JSON document (schema ``repro.bench_explore/v9``).
 
-    With ``backend="parallel"`` each instance additionally runs the
-    canonical explorer on a
-    :class:`~repro.runtime.backends.ParallelBackend` with ``workers``
-    worker processes; the record asserts verdict identity against the
-    serial canonical run and stores the measured wall-clock speedup
-    (``host_cpus`` is recorded alongside, because on a single-core host
-    the honest speedup is necessarily < 1 — the parallel run pays IPC
-    with no extra hardware to spend it on; such blocks and the document
-    top level carry ``degraded_host: true``).  Each parallel block also
-    records a ``curve``: the same walk at every :data:`CURVE_WORKERS`
-    count with its own ``speedup_vs_serial`` point, the raw material
-    for the CI smoke gate (``benchmarks/check_parallel_speedup.py``).
-
-    With ``kernel="compiled"`` each instance additionally runs the
-    table-compiled step kernel (:mod:`repro.runtime.compiled`) under
-    both canonicalizers; the record asserts state-count identity against
-    the interpreted runs and stores ``speedup_vs_interpreted`` — the
-    compiled walk's throughput over the seed engine's on the *same*
-    trivial-dedup walk, measured in the same process.
+    Per instance: the default engine (the packed walker behind
+    ``explore``) under both canonicalizers — ``seed`` (trivial dedup)
+    and ``canonical`` (symmetry quotient) — plus ``oracle``, the
+    :class:`~repro.runtime.backends.SerialBackend` interpreter on the
+    same trivial-dedup walk in the same process.  The record asserts
+    the oracle agrees on verdict, state and event counts and stores
+    ``speedup_vs_oracle`` (oracle wall time over the default walker's),
+    the ratio ``benchmarks/check_compiled_speedup.py`` gates.
+    ``host_cpus`` is recorded at the top level: every run is
+    single-process, so the count only says what else the host could
+    have been doing.
 
     With ``telemetry_dir`` every engine run gets a live
     :class:`repro.obs.Telemetry` sink and leaves one run manifest in
@@ -649,9 +635,6 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
     shared_budgets = dict(BENCH_BUDGETS)
     if max_states is not None:
         shared_budgets["max_states"] = max_states
-    parallel_backend = None
-    if backend == "parallel":
-        parallel_backend = resolve_backend("parallel", workers)
     if telemetry_dir is not None:
         telemetry_dir = Path(telemetry_dir)
         telemetry_dir.mkdir(parents=True, exist_ok=True)
@@ -666,82 +649,52 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
         enumerate(_bench_instances(quick))
     ):
         budgets = dict(shared_budgets, **(overrides or {}))
-        system = factory()
-        seed_tel = bench_telemetry()
-        seed_res = explore(
-            system, invariant,
-            canonicalizer=TrivialCanonicalizer(system.scheduler),
-            telemetry=seed_tel,
-            **budgets,
-        )
-        system = factory()
-        canonicalizer = build_canonicalizer(system)
-        canonical_tel = bench_telemetry()
-        reduced_res = explore(
-            system, invariant, canonicalizer=canonicalizer,
-            telemetry=canonical_tel, **budgets,
-        )
+        runs = {}
+        for engine, backend, symmetric in (
+            ("seed", None, False),
+            ("canonical", None, True),
+            ("oracle", SerialBackend(), False),
+        ):
+            system = factory()
+            canonicalizer = (
+                build_canonicalizer(system) if symmetric
+                else TrivialCanonicalizer(system.scheduler)
+            )
+            telemetry = bench_telemetry()
+            result = explore(
+                system, invariant, canonicalizer=canonicalizer,
+                backend=backend, telemetry=telemetry, **budgets,
+            )
+            runs[engine] = (
+                result, canonicalizer if symmetric else None, telemetry
+            )
+        seed_res = runs["seed"][0]
+        reduced_res = runs["canonical"][0]
+        oracle_res = runs["oracle"][0]
         assert seed_res.ok == reduced_res.ok, label
+        assert (
+            oracle_res.ok, oracle_res.states_explored, oracle_res.events_executed
+        ) == (seed_res.ok, seed_res.states_explored, seed_res.events_executed), (
+            f"{label}: the SerialBackend oracle disagrees with the default "
+            "walker"
+        )
         reduction = seed_res.states_explored / reduced_res.states_explored
         newly_tractable = (not seed_res.complete) and reduced_res.complete
+        speedup = (
+            round(oracle_res.wall_seconds / seed_res.wall_seconds, 2)
+            if seed_res.wall_seconds > 0
+            else None
+        )
         record = {
             "instance": label,
             "budgets": budgets,
             "seed": _engine_record(seed_res),
-            "canonical": _engine_record(reduced_res, canonicalizer),
+            "canonical": _engine_record(reduced_res, runs["canonical"][1]),
+            "oracle": _engine_record(oracle_res),
+            "speedup_vs_oracle": speedup,
             "reduction_factor": round(reduction, 2),
             "newly_tractable": newly_tractable,
         }
-        compiled_tel = None
-        if kernel == "compiled":
-            domain = (
-                spec.value_domain(instance.params_dict())
-                if spec.value_domain is not None
-                else ()
-            )
-            system = factory()
-            compiled_tel = bench_telemetry()
-            compiled_res = explore(
-                system, invariant,
-                canonicalizer=TrivialCanonicalizer(system.scheduler),
-                backend=CompiledBackend(domain_hint=domain),
-                telemetry=compiled_tel,
-                **budgets,
-            )
-            assert compiled_res.states_explored == seed_res.states_explored, (
-                f"{label}: compiled kernel explored "
-                f"{compiled_res.states_explored} states, "
-                f"interpreted {seed_res.states_explored}"
-            )
-            assert compiled_res.ok == seed_res.ok, label
-            system = factory()
-            compiled_canonical_res = explore(
-                system, invariant,
-                canonicalizer=build_canonicalizer(system),
-                backend=CompiledBackend(domain_hint=domain),
-                **budgets,
-            )
-            assert (
-                compiled_canonical_res.states_explored
-                == reduced_res.states_explored
-            ), label
-            compiled_rate = compiled_res.states_per_second
-            seed_rate = seed_res.states_per_second
-            speedup = (
-                round(compiled_rate / seed_rate, 2)
-                if compiled_rate and seed_rate
-                else None
-            )
-            compiled_record = _engine_record(compiled_res)
-            compiled_record["kernel"] = compiled_res.kernel
-            compiled_record["speedup_vs_interpreted"] = speedup
-            compiled_record["canonical"] = _engine_record(
-                compiled_canonical_res
-            )
-            compiled_record["canonical"]["kernel"] = (
-                compiled_canonical_res.kernel
-            )
-            record["compiled"] = compiled_record
         if instance.has_role("verify") and spec.liveness:
             # Graph-retention overhead: the same walk with the full
             # successor relation retained, plus the exhaustive liveness
@@ -769,150 +722,42 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
                 ],
             }
         if telemetry_dir is not None:
-            manifest_names.append(_write_bench_manifest(
-                telemetry_dir, index, label, "seed", budgets,
-                record["seed"], seed_tel,
-            ))
-            manifest_names.append(_write_bench_manifest(
-                telemetry_dir, index, label, "canonical", budgets,
-                record["canonical"], canonical_tel,
-            ))
-            if compiled_tel is not None:
+            for engine, (_, _, telemetry) in runs.items():
                 manifest_names.append(_write_bench_manifest(
-                    telemetry_dir, index, label, "compiled", budgets,
-                    record["compiled"], compiled_tel,
-                    backend="compiled",
+                    telemetry_dir, index, label, engine, budgets,
+                    record[engine], telemetry,
+                    backend="serial" if engine == "oracle" else "compiled",
                 ))
-        row_tail = []
-        if kernel == "compiled":
-            speedup = record["compiled"]["speedup_vs_interpreted"]
-            row_tail.append(
-                "n/a" if speedup is None else f"x{speedup}"
-            )
-        if parallel_backend is not None:
-            system = factory()
-            par_canonicalizer = build_canonicalizer(system)
-            par_tel = bench_telemetry()
-            par_res = explore(
-                system, invariant, canonicalizer=par_canonicalizer,
-                backend=parallel_backend, telemetry=par_tel, **budgets,
-            )
-            par_verdict = "violation" if not par_res.ok else (
-                "exhaustive-ok" if par_res.complete else "bounded-ok"
-            )
-            serial_verdict = record["canonical"]["verdict"]
-            assert par_verdict == serial_verdict, (
-                f"{label}: parallel verdict {par_verdict} "
-                f"!= serial {serial_verdict}"
-            )
-            par_record = _engine_record(par_res, par_canonicalizer)
-            par_record["backend"] = par_res.backend
-            par_record["workers"] = par_res.workers
-            par_record["speedup_vs_serial"] = (
-                round(reduced_res.wall_seconds / par_res.wall_seconds, 2)
-                if par_res.wall_seconds > 0 else None
-            )
-            # A single-hardware-thread host cannot show a real speedup;
-            # flag the block so baseline consumers discount it.
-            par_record["degraded_host"] = os.cpu_count() == 1
-            # v8: the same canonical walk across the worker-count curve,
-            # every point's speedup against the serial canonical wall
-            # time.  Degraded hosts still record the (honest, < 1)
-            # curve; gates skip it instead of failing.
-            curve = []
-            for count in CURVE_WORKERS:
-                if count == parallel_backend.workers:
-                    point_res = par_res
-                else:
-                    system = factory()
-                    point_res = explore(
-                        system, invariant,
-                        canonicalizer=build_canonicalizer(system),
-                        backend=resolve_backend("parallel", count),
-                        **budgets,
-                    )
-                    point_verdict = "violation" if not point_res.ok else (
-                        "exhaustive-ok" if point_res.complete
-                        else "bounded-ok"
-                    )
-                    assert point_verdict == serial_verdict, (
-                        f"{label}: parallel x{count} verdict "
-                        f"{point_verdict} != serial {serial_verdict}"
-                    )
-                    if point_res.complete and reduced_res.complete:
-                        assert (
-                            point_res.states_explored
-                            == reduced_res.states_explored
-                        ), (
-                            f"{label}: parallel x{count} explored "
-                            f"{point_res.states_explored} states, "
-                            f"serial {reduced_res.states_explored}"
-                        )
-                curve.append({
-                    "workers": count,
-                    "states": point_res.states_explored,
-                    "wall_seconds": round(point_res.wall_seconds, 3),
-                    "speedup_vs_serial": (
-                        round(
-                            reduced_res.wall_seconds
-                            / point_res.wall_seconds, 2
-                        )
-                        if point_res.wall_seconds > 0 else None
-                    ),
-                })
-            par_record["curve"] = curve
-            record["parallel"] = par_record
-            if telemetry_dir is not None:
-                manifest_names.append(_write_bench_manifest(
-                    telemetry_dir, index, label, "parallel", budgets,
-                    par_record, par_tel,
-                    backend="parallel", workers=par_res.workers,
-                ))
-            row_tail.append(f"x{par_record['speedup_vs_serial']}")
         records.append(record)
         rows.append([
             label,
             seed_res.summary().split(",")[0],
             reduced_res.summary().split(",")[0],
             f"x{reduction:.2f}",
-            _rate(reduced_res),
+            _rate(seed_res),
+            "n/a" if speedup is None else f"x{speedup}",
             "NEWLY TRACTABLE" if newly_tractable else "",
-        ] + row_tail)
-    headers = ["instance", "seed explorer", "canonical explorer", "reduction",
-               "canonical rate", ""]
-    if kernel == "compiled":
-        headers.append("compiled speedup")
-    if parallel_backend is not None:
-        headers.append(f"parallel x{parallel_backend.workers} speedup")
+        ])
     print_table(
-        headers,
+        ["instance", "seed dedup", "canonical", "reduction", "walker rate",
+         "vs oracle", ""],
         rows,
-        title="E14d — symmetry-reduced exploration vs seed explorer",
+        title="E14d — the default walker: symmetry reduction and "
+              "speedup over the interpreter oracle",
     )
     generated = "python benchmarks/run_experiments.py --bench"
     if quick:
         generated += " --quick"
-    if parallel_backend is not None:
-        generated += f" --backend parallel --workers {parallel_backend.workers}"
-    if kernel == "compiled":
-        generated += " --kernel compiled"
     if max_states is not None:
         generated += f" --max-states {max_states}"
     if telemetry_dir is not None:
         generated += f" --telemetry {telemetry_dir}"
     return {
-        "schema": "repro.bench_explore/v8",
+        "schema": "repro.bench_explore/v9",
         "generated_by": generated,
         "rng_seed": rng_seed,
         "quick": quick,
-        "backend": backend,
-        "kernel": kernel,
-        "workers": parallel_backend.workers if parallel_backend else 1,
         "host_cpus": os.cpu_count(),
-        # v8: stamped at the document top level (not just inside each
-        # parallel block) so speedup gates can decide skip-vs-fail
-        # without digging into per-instance records.
-        "degraded_host": os.cpu_count() == 1,
         "budgets": dict(shared_budgets),
         "telemetry": {
             "enabled": telemetry_dir is not None,
@@ -922,7 +767,7 @@ def exploration_benchmark(quick=False, rng_seed=5, backend="serial", workers=2,
         # v6: disk-backed sweep-farm micro-benchmark (drain throughput,
         # resume fixed cost, retained edge-array footprint).  Wall-clock
         # numbers are advisory; check_baseline reads only the
-        # backend-invariant exploration fields above.
+        # engine-invariant exploration fields above.
         "sweep": _bench_sweep_farm(),
         # v7: seeded fuzzer micro-benchmark (schedule throughput,
         # distinct-state coverage, certified violations per strategy
@@ -1011,23 +856,12 @@ def main(argv=None):
         help="RNG seed for the randomised E14 workloads (default: 5); "
              "recorded in the bench JSON",
     )
-    parser.add_argument(
-        "--backend", choices=("serial", "parallel"), default="serial",
-        help="with --bench: also run the canonical explorer on this "
-             "exploration backend and record per-backend wall time "
-             "(default: serial only)",
-    )
-    parser.add_argument(
-        "--workers", type=positive_workers, default=4, metavar="N",
-        help="with --backend parallel: worker process count (default: 4)",
-    )
-    parser.add_argument(
-        "--kernel", choices=("interpreted", "compiled"),
-        default="interpreted",
-        help="with --bench: also run the table-compiled step kernel on "
-             "every instance and record its speedup over the seed engine "
-             "(default: interpreted only)",
-    )
+    for flag in ("--backend", "--workers"):
+        reject_flag(
+            parser, flag, "bench",
+            "the bench times the one in-process walker against its "
+            "SerialBackend oracle; there is no backend to choose",
+        )
     parser.add_argument(
         "--max-states", type=int, default=None, metavar="N",
         help="with --bench: override the shared max_states exploration "
@@ -1038,9 +872,7 @@ def main(argv=None):
     if args.bench:
         document = exploration_benchmark(
             quick=args.quick, rng_seed=args.seed,
-            backend=args.backend, workers=args.workers,
-            telemetry_dir=args.telemetry, kernel=args.kernel,
-            max_states=args.max_states,
+            telemetry_dir=args.telemetry, max_states=args.max_states,
         )
         out = args.bench_out
         if out is None and not args.quick:

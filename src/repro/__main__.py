@@ -10,7 +10,8 @@ Subcommands (every key of ``COMMANDS`` below appears here; pinned by
                     (deadlock-freedom, obstruction-freedom) over retained
                     state graphs, mutant counterexamples included
                     (``--list``, ``--problem``, ``--instance``,
-                    ``--backend``, ``--kernel``, ``--telemetry``);
+                    ``--max-states``, ``--telemetry``) on the packed
+                    walker;
 * ``attack``      — run the Theorem 3.4 symmetry attack on Figure 1 with
                     an even register count and show the provable livelock;
 * ``lint``        — dataflow-IR static analysis + runtime audits of the
@@ -32,8 +33,8 @@ Subcommands (every key of ``COMMANDS`` below appears here; pinned by
                     violations and livelock lassos; hits are shrunk to
                     minimal schedules and certified by replay
                     (``--problem``, ``--instance``, ``--seed``,
-                    ``--episodes``, ``--kernel``; ``--out/--resume/
-                    --workers`` shard episodes over a farm);
+                    ``--episodes``; ``--out/--resume/--workers`` shard
+                    episodes over a farm);
 * ``experiments`` — regenerate the paper-claim experiment tables (E1-E14
                     of the E1-E17 index in DESIGN.md; the E15-E17
                     extension tables run via ``pytest benchmarks/
@@ -81,7 +82,7 @@ def cmd_demo() -> int:
 
 def cmd_verify(rest=()) -> int:
     """Exhaustive safety + liveness verification of registry instances."""
-    from repro.cliflags import add_workers_flag, reject_flag
+    from repro.cliflags import reject_flag
     from repro.errors import VerificationError
     from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
     from repro.problems import get_problem, instances_with_role
@@ -117,28 +118,11 @@ def cmd_verify(rest=()) -> int:
         help="list the verify-role instances and exit",
     )
     parser.add_argument(
-        "--backend",
-        choices=["serial", "parallel"],
-        default="serial",
-        help="exploration backend for the graph-retaining walk",
-    )
-    add_workers_flag(
-        parser, help_text="worker processes for --backend parallel"
-    )
-    parser.add_argument(
         "--max-states",
         type=int,
         default=None,
         metavar="N",
         help="override each instance's verification state budget",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["interpreted", "compiled"],
-        default="interpreted",
-        help="step kernel for the walk: 'compiled' runs the "
-        "table-compiled kernel (serial backend only; bit-identical "
-        "graph, ~10x the throughput)",
     )
     parser.add_argument(
         "--telemetry",
@@ -147,17 +131,18 @@ def cmd_verify(rest=()) -> int:
         help="write one run manifest per instance into DIR "
         "(readable by `python -m repro report DIR`)",
     )
+    for flag in ("--backend", "--workers"):
+        reject_flag(
+            parser, flag, "verify",
+            "every walk runs on the one in-process packed walker; "
+            "there is no backend to choose",
+        )
     reject_flag(
         parser, "--seed", "verify",
         "exhaustive verification quantifies over every schedule; "
         "there is nothing to seed (randomised search is `repro fuzz`)",
     )
     args = parser.parse_args(list(rest))
-    if args.kernel == "compiled" and args.backend != "serial":
-        parser.error(
-            "--kernel compiled is a drop-in replacement for the serial "
-            "backend; it cannot combine with --backend parallel"
-        )
 
     selected = []
     if args.problem:
@@ -197,15 +182,7 @@ def cmd_verify(rest=()) -> int:
     failed = 0
     for spec, inst in selected:
         telemetry = Telemetry() if args.telemetry else NULL_TELEMETRY
-        request = RunRequest(
-            # verify_instance builds the compiled backend itself so it
-            # can seed it with the spec's declared value domain.
-            kernel=args.kernel if args.kernel == "compiled" else None,
-            backend=None if args.kernel == "compiled" else args.backend,
-            workers=args.workers,
-            max_states=args.max_states,
-            telemetry=telemetry,
-        )
+        request = RunRequest(max_states=args.max_states, telemetry=telemetry)
         try:
             report = verify_instance(spec, inst, request=request)
         except VerificationError as exc:
@@ -326,12 +303,6 @@ def cmd_sweep(rest=()) -> int:
                         "cells re-enter pending until they have been "
                         "attempted N times (default: 1 — errors stay "
                         "terminal)")
-    reject_flag(
-        parser, "--kernel", "sweep",
-        "grid cells replay live System runs through the interpreted "
-        "scheduler; the compiled kernel serves the exhaustive walk "
-        "(`repro verify --kernel compiled`)",
-    )
     reject_flag(
         parser, "--backend", "sweep",
         "the farm schedules cells across claiming processes; pick "
@@ -492,7 +463,7 @@ def main(argv=None) -> int:
         default="demo",
         choices=list(COMMANDS),
         help="demo (default) | verify [--list --problem --instance "
-             "--backend --kernel --telemetry] (exhaustive safety + "
+             "--max-states --telemetry] (exhaustive safety + "
              "liveness over "
              "the problem registry) | attack | lint | "
              "sweep [--out DIR --resume DIR --workers N] (resumable "

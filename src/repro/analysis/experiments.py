@@ -257,11 +257,6 @@ def sweep(
     return result
 
 
-#: Sentinel distinguishing "keyword not passed" from an explicit value,
-#: so the deprecated execution keywords warn only when actually used.
-_UNSET: Any = object()
-
-
 def sweep_problem(
     problem: str,
     namings: Sequence[NamingAssignment],
@@ -269,9 +264,6 @@ def sweep_problem(
     checkers_factory: Callable[..., Iterable[PropertyChecker]],
     instance: Optional[str] = None,
     params: Optional[dict] = None,
-    max_steps: Any = _UNSET,
-    backend: Any = _UNSET,
-    telemetry: Any = _UNSET,
     manifest_dir: Optional[Union[str, Path]] = None,
     *,
     request: Optional[Any] = None,
@@ -288,38 +280,19 @@ def sweep_problem(
 
     Execution choices (``max_steps``, ``backend``, ``telemetry``, plus
     ``instance``/``params`` defaults) ride on a
-    :class:`~repro.request.RunRequest` passed as ``request=``; the
-    pre-request ``max_steps=``/``backend=``/``telemetry=`` keywords
-    still work but emit ``DeprecationWarning`` (removed in PR 11).
+    :class:`~repro.request.RunRequest` passed as ``request=``.
     """
-    import warnings
     from functools import partial
 
     from repro.problems import get_problem
-    from repro.request import deprecated_keywords_message
 
-    legacy = {
-        name: value
-        for name, value in (
-            ("backend", backend),
-            ("max_steps", max_steps),
-            ("telemetry", telemetry),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        warnings.warn(
-            deprecated_keywords_message("sweep_problem", sorted(legacy)),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    backend = legacy.get("backend")
-    max_steps = legacy.get("max_steps")
-    telemetry = legacy.get("telemetry")
+    backend: Any = None
+    max_steps: Optional[int] = None
+    telemetry: Any = None
     if request is not None:
-        backend = request.merged("backend", backend)
-        max_steps = request.merged("max_steps", max_steps)
-        telemetry = request.merged("telemetry", telemetry)
+        backend = request.backend
+        max_steps = request.max_steps
+        telemetry = request.telemetry
         if instance is None and request.instance is not None:
             instance = request.instance
         if params is None and request.params is not None:

@@ -1,8 +1,8 @@
 """Uniform execution-flag surface across the CLI.
 
 Every command that executes registry work shares one flag vocabulary —
-``--kernel``, ``--backend``, ``--workers``, ``--seed``,
-``--max-states`` — mirroring the fields of
+``--backend``, ``--workers``, ``--seed``, ``--max-states`` — mirroring
+the fields of
 :class:`~repro.request.RunRequest`.  A command either *accepts* a flag
 (via the ``add_*_flag`` helpers below, so metavars/choices/help never
 drift between parsers) or *explicitly rejects* it with the uniform
@@ -12,18 +12,18 @@ module exists to rule out.
 
 The accept/reject matrix is pinned by ``tests/test_cliflags.py``:
 
-=============  ========  =========  =========  ======  ============
-command        --kernel  --backend  --workers  --seed  --max-states
-=============  ========  =========  =========  ======  ============
-verify         accept    accept     accept     reject  accept
-sweep          reject    reject     accept     reject  reject
-fuzz           accept    accept*    accept     accept  accept
-bench          accept    accept     accept     accept  accept
-=============  ========  =========  =========  ======  ============
+=============  =========  =========  ======  ============
+command        --backend  --workers  --seed  --max-states
+=============  =========  =========  ======  ============
+verify         reject     reject     reject  accept
+sweep          reject     accept     reject  reject
+fuzz           reject     accept     accept  accept
+bench          reject     reject     accept  accept
+=============  =========  =========  ======  ============
 
-``*`` — fuzz accepts only ``--backend serial`` (episodes are serial by
-construction; parallelism is ``--workers`` over farm cells) and rejects
-``parallel`` with the same uniform message shape.
+Exhaustive walks run on the one in-process packed walker, so no command
+offers an exploration backend; ``--workers`` drains farm cells
+(``sweep``, ``fuzz --out``).
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "rejection_message",
     "reject_flag",
     "positive_workers",
-    "add_kernel_flag",
-    "add_backend_flag",
     "add_workers_flag",
     "add_seed_flag",
     "add_max_states_flag",
@@ -108,32 +106,6 @@ def reject_flag(
 ) -> None:
     """Register ``flag`` as explicitly rejected (uniform error text)."""
     parser.add_argument(flag, action=_RejectFlag, command=command, reason=reason)
-
-
-def add_kernel_flag(
-    parser: argparse.ArgumentParser, help_text: Optional[str] = None
-) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=["interpreted", "compiled"],
-        default="interpreted",
-        help=help_text
-        or "step kernel: 'compiled' runs the table-compiled kernel "
-        "(serial only; bit-identical results, ~10x the throughput)",
-    )
-
-
-def add_backend_flag(
-    parser: argparse.ArgumentParser,
-    choices: Sequence[str] = ("serial", "parallel"),
-    help_text: Optional[str] = None,
-) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=list(choices),
-        default="serial",
-        help=help_text or "execution backend",
-    )
 
 
 def add_workers_flag(

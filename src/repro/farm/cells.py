@@ -333,11 +333,6 @@ def _fuzz_cell_result(config: Dict[str, Any], cell: Cell) -> Dict[str, Any]:
             problem=config["problem"],
             instance=config.get("instance"),
             params=config.get("params"),
-            kernel=(
-                fuzz.get("kernel")
-                if fuzz.get("kernel") == "compiled"
-                else None
-            ),
             seed=int(fuzz.get("seed") or 0),
             max_steps=fuzz.get("max_steps"),
             max_states=fuzz.get("max_states"),

@@ -14,8 +14,8 @@ schedule) while a clean run proves nothing.
 Everything is driven by one root seed: episode ``i`` of family ``f``
 derives its own :class:`random.Random` from ``(seed, i, f)``, so runs
 are reproducible step-for-step, shard cleanly across farm cells
-(:mod:`repro.farm`), and produce byte-identical schedules under the
-interpreted and table-compiled step kernels.
+(:mod:`repro.farm`), and step the packed walker with schedules
+byte-identical to the interpreter's.
 
 See ``docs/FUZZING.md`` for the strategy families, the seed/replay
 contract and shrink semantics.

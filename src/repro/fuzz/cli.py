@@ -21,12 +21,10 @@ import sys
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cliflags import (
-    add_backend_flag,
-    add_kernel_flag,
     add_max_states_flag,
     add_seed_flag,
     add_workers_flag,
-    rejection_message,
+    reject_flag,
 )
 
 __all__ = ["fuzz_main", "aggregate_fuzz_rows"]
@@ -113,11 +111,10 @@ def _write_fuzz_manifest(
             "episodes": report.episodes,
             "episode_base": report.episode_base,
             "max_steps": report.max_steps,
-            "kernel": report.effective_kernel,
             "families": list(report.families),
         },
         adversary=f"fuzz:{'+'.join(report.families)}",
-        backend="serial",
+        backend="compiled",  # episodes step the packed walker's tables
         workers=1,
         outcome=outcome,
         telemetry=telemetry_snapshot,
@@ -134,7 +131,7 @@ def fuzz_main(argv: Sequence[str]) -> int:
         prog="python -m repro fuzz",
         description="Seeded adversary-strategy fuzzing over registry "
         "instances: strategy families (lockstep, random, greedy, "
-        "covering) drive the step kernel hunting safety violations and "
+        "covering) drive the packed walker hunting safety violations and "
         "livelock lassos; every hit is shrunk to a minimal schedule and "
         "certified by replaying it on a fresh system.  A clean run "
         "proves nothing — exhaustive guarantees live in `repro verify`.",
@@ -149,11 +146,10 @@ def fuzz_main(argv: Sequence[str]) -> int:
                         help="explicit builder parameter (repeatable; "
                         "mutually exclusive with --instance)")
     add_seed_flag(parser)
-    add_kernel_flag(parser)
-    add_backend_flag(
-        parser,
-        help_text="execution backend (fuzz episodes are serial; "
-        "'parallel' is rejected — shard episodes with --workers)",
+    reject_flag(
+        parser, "--backend", "fuzz",
+        "episodes are serial by construction; shard them across "
+        "farm cells with --workers",
     )
     add_workers_flag(parser, default=1,
                      help_text="claiming worker processes draining fuzz "
@@ -191,14 +187,6 @@ def fuzz_main(argv: Sequence[str]) -> int:
                         "failures (default: 1 — errors stay terminal)")
     args = parser.parse_args(list(argv))
 
-    if args.backend != "serial":
-        parser.error(
-            rejection_message(
-                f"--backend {args.backend}", "fuzz",
-                "episodes are serial by construction; shard them across "
-                "farm cells with --workers",
-            )
-        )
     families = None
     if args.families is not None:
         families = [f.strip() for f in args.families.split(",") if f.strip()]
@@ -239,7 +227,6 @@ def fuzz_main(argv: Sequence[str]) -> int:
                 problem=args.problem,
                 instance=args.instance,
                 params=params,
-                kernel=args.kernel if args.kernel == "compiled" else None,
                 seed=args.seed,
                 max_steps=args.max_steps,
                 max_states=args.max_states,
@@ -254,7 +241,7 @@ def fuzz_main(argv: Sequence[str]) -> int:
     print(
         f"{report.instance}: {report.episodes_run} episode(s), "
         f"{report.steps} steps, {report.distinct_states} distinct "
-        f"state(s), kernel={report.effective_kernel}, seed={report.seed}"
+        f"state(s), seed={report.seed}"
     )
     if report.truncated_by:
         print(f"stopped early: {report.truncated_by} budget exhausted")
@@ -284,7 +271,6 @@ def _farm_config(
             "seed": args.seed,
             "episodes": args.episodes,
             "max_steps": args.max_steps,
-            "kernel": args.kernel,
             "max_states": args.max_states,
             "families": families,
             "episodes_per_cell": args.episodes_per_cell,

@@ -1,4 +1,4 @@
-"""The fuzz engine: seeded episodes, two kernels, certified hits.
+"""The fuzz engine: seeded episodes on the packed walker, certified hits.
 
 One *episode* = one strategy instance driving one schedule from the
 initial state, up to ``max_steps`` steps.  The engine watches every
@@ -22,11 +22,12 @@ fuzzer bug, never a result.
 Determinism: episode ``i`` of family ``f`` seeds its own
 ``random.Random`` from ``blake2b(f"{seed}:{i}:{f}")`` — independent of
 ``PYTHONHASHSEED``, stable across shards (farm cells pass
-``episode_base``), and kernel-independent.  The compiled kernel steps
-packed states (:mod:`repro.runtime.compiled`); packing is a bijection
-on the reachable closure, so revisit positions — and therefore
-schedules, hits and shrunk witnesses — are byte-identical to the
-interpreted kernel's (pinned by ``tests/fuzz/test_differential.py``).
+``episode_base``), and engine-independent.  Episodes step packed
+states on a lazily interned :class:`~repro.runtime.compiled.CompiledProgram`;
+packing is a bijection on every state the run has seen, so revisit
+positions — and therefore schedules, hits and shrunk witnesses — are
+byte-identical to the interpreter's (the ``_InterpretedStepper``
+oracle; pinned by ``tests/fuzz/test_differential.py``).
 """
 
 from __future__ import annotations
@@ -130,8 +131,6 @@ class FuzzReport:
 
     problem: str
     instance: str
-    kernel: str
-    effective_kernel: str
     seed: int
     episode_base: int
     episodes: int
@@ -158,8 +157,6 @@ class FuzzReport:
         return {
             "problem": self.problem,
             "instance": self.instance,
-            "kernel": self.kernel,
-            "effective_kernel": self.effective_kernel,
             "seed": self.seed,
             "episode_base": self.episode_base,
             "episodes": self.episodes,
@@ -176,13 +173,27 @@ class FuzzReport:
 
 # -- steppers ----------------------------------------------------------
 #
-# Both kernels expose the same five operations; their state keys differ
-# (value tuples vs packed index tuples) but are bijective over the
-# reachable closure, so revisit bookkeeping is kernel-independent.
+# Both steppers expose the same five operations; their state keys differ
+# (value tuples vs packed id tuples) but are bijective over the states
+# seen, so revisit bookkeeping is stepper-independent.  The interpreted
+# stepper is the packed one's differential oracle.
+
+def _pending_physical(
+    instance: StepInstance, pid: ProcessId, local: Any
+) -> Optional[int]:
+    """The physical register ``pid``'s next operation touches, if any."""
+    try:
+        op = instance.automata[pid].next_op(local)
+    except Exception:  # noqa: BLE001 — poison ops surface on step
+        return None
+    if isinstance(op, (ReadOp, WriteOp)):
+        perm = instance.permutations[pid]
+        if 0 <= op.index < len(perm):
+            return perm[op.index]
+    return None
+
 
 class _InterpretedStepper:
-    kernel = "interpreted"
-
     def __init__(
         self,
         instance: StepInstance,
@@ -215,32 +226,25 @@ class _InterpretedStepper:
     def pending_physical(
         self, state: GlobalState, pid: ProcessId
     ) -> Optional[int]:
-        local = self.instance.slot_entry(state, pid)[1]
-        try:
-            op = self.instance.automata[pid].next_op(local)
-        except Exception:  # noqa: BLE001 — poison ops surface on step
-            return None
-        if isinstance(op, (ReadOp, WriteOp)):
-            perm = self.instance.permutations[pid]
-            if 0 <= op.index < len(perm):
-                return perm[op.index]
-        return None
+        return _pending_physical(
+            self.instance, pid, self.instance.slot_entry(state, pid)[1]
+        )
 
     def to_value_state(self, state: GlobalState) -> GlobalState:
         return state
 
 
 class _CompiledStepper:
-    kernel = "compiled"
-
     def __init__(
         self,
-        program: Any,
+        instance: StepInstance,
+        initial: GlobalState,
         invariant: Optional[Callable[..., Optional[str]]],
     ) -> None:
-        from repro.runtime.compiled import compile_checker
+        from repro.runtime.compiled import CompiledProgram, compile_checker
 
-        self.instance = program.instance
+        program = CompiledProgram(instance, initial)
+        self.instance = instance
         self.program = program
         self.initial = program.initial_packed
         self._checker = (
@@ -255,13 +259,11 @@ class _CompiledStepper:
         )
 
     def enabled(self, packed: Tuple[int, ...]) -> Tuple[ProcessId, ...]:
-        program = self.program
+        live = self.program.live
         return tuple(
             pid
-            for pid, slot, offset in program.step_order
-            if not (
-                program.halted[slot][packed[offset]] or program.crashed[slot]
-            )
+            for pid, slot, offset in self.program.step_order
+            if live[slot][packed[offset]]
         )
 
     def check(self, packed: Tuple[int, ...]) -> Optional[str]:
@@ -272,13 +274,16 @@ class _CompiledStepper:
     def pending_physical(
         self, packed: Tuple[int, ...], pid: ProcessId
     ) -> Optional[int]:
-        from repro.runtime.compiled import OP_READ, OP_WRITE
+        from repro.runtime.compiled import OP_NEW, OP_READ, OP_WRITE
 
         program = self.program
         slot = self.instance.slot_of[pid]
         si = packed[program.m + slot]
-        if program.kind[slot][si] in (OP_READ, OP_WRITE):
+        kind = program.kind[slot][si]
+        if kind in (OP_READ, OP_WRITE):
             return program.arg[slot][si]
+        if kind == OP_NEW:
+            return _pending_physical(self.instance, pid, program.states[slot][si])
         return None
 
     def to_value_state(self, packed: Tuple[int, ...]) -> GlobalState:
@@ -286,31 +291,6 @@ class _CompiledStepper:
 
 
 # -- the engine --------------------------------------------------------
-
-def _build_stepper(
-    spec: Any,
-    instance: StepInstance,
-    initial: GlobalState,
-    invariant: Optional[Callable[..., Optional[str]]],
-    kernel: str,
-    params: Dict[str, Any],
-) -> Any:
-    if kernel == "interpreted":
-        return _InterpretedStepper(instance, initial, invariant)
-    from repro.runtime.compiled import CompileOverflow, compile_program
-
-    domain_hint: Sequence[Any] = ()
-    if spec.value_domain is not None:
-        domain_hint = spec.value_domain(params)
-    try:
-        program = compile_program(instance, initial, domain_hint=domain_hint)
-    except CompileOverflow:
-        # Same fallback contract as CompiledBackend: outside the
-        # enumerable envelope the interpreted kernel takes over; the
-        # report records the effective kernel.
-        return _InterpretedStepper(instance, initial, invariant)
-    return _CompiledStepper(program, invariant)
-
 
 def run_fuzz(
     request: RunRequest,
@@ -321,16 +301,19 @@ def run_fuzz(
     max_violations: Optional[int] = None,
     shrink: bool = True,
     validate: bool = True,
+    stepper_class: Any = _CompiledStepper,
 ) -> FuzzReport:
     """Fuzz one registry instance per ``request``; see module docstring.
 
     ``request`` carries the target (``problem``/``instance``/``params``),
-    the root ``seed`` (default 0), the per-episode ``max_steps`` budget,
-    the step ``kernel`` and an optional ``max_states`` cap on distinct
+    the root ``seed`` (default 0), the per-episode ``max_steps`` budget
+    and an optional ``max_states`` cap on distinct
     states visited across the whole run (the run stops early with
     ``truncated_by="max_states"`` when it trips).  ``episode_base``
     offsets the global episode numbering so farm cells sharding one run
     reproduce exactly the episodes a one-shot run would execute.
+    ``stepper_class`` is for differential tests only: they pass the
+    ``_InterpretedStepper`` oracle.
     """
     from repro.obs.telemetry import NULL_TELEMETRY
 
@@ -343,7 +326,6 @@ def run_fuzz(
     if episodes < 0:
         raise FuzzError(f"episodes must be >= 0, got {episodes}")
     spec, instance_record = request.resolve()
-    kernel = request.kernel or "interpreted"
     seed = request.seed if request.seed is not None else 0
     max_steps = request.max_steps or DEFAULT_MAX_STEPS
     telemetry = request.telemetry or NULL_TELEMETRY
@@ -355,10 +337,7 @@ def run_fuzz(
     system = spec.system(instance_record)
     instance = StepInstance.from_system(system)
     initial = system.scheduler.capture_state()
-    params = instance_record.params_dict()
-    stepper = _build_stepper(
-        spec, instance, initial, spec.invariant, kernel, params
-    )
+    stepper = stepper_class(instance, initial, spec.invariant)
     predicates = CsPredicates(instance)
     liveness_kinds = {prop.kind for prop in spec.liveness}
     theorem_of = {prop.kind: prop.theorem for prop in spec.liveness}
@@ -368,8 +347,6 @@ def run_fuzz(
     report = FuzzReport(
         problem=spec.key,
         instance=instance_record.label,
-        kernel=kernel,
-        effective_kernel=stepper.kernel,
         seed=seed,
         episode_base=episode_base,
         episodes=episodes,
@@ -381,7 +358,6 @@ def run_fuzz(
             "fuzz.start",
             problem=spec.key,
             instance=instance_record.label,
-            kernel=stepper.kernel,
             seed=seed,
             episodes=episodes,
         )

@@ -23,9 +23,10 @@ theorem about where coordination algorithms break:
 
 Determinism contract: a strategy's entire decision sequence is a pure
 function of its constructor ``rng`` and the sequence of contexts it is
-shown.  Both fuzz kernels present identical contexts (same enabled
-order, same pending physical registers, same contention counters), so
-fixed ``(seed, episode, family)`` yields the same schedule under either.
+shown.  The packed stepper and its interpreter oracle present
+identical contexts (same enabled order, same pending physical
+registers, same contention counters), so fixed ``(seed, episode,
+family)`` yields the same schedule under either.
 """
 
 from __future__ import annotations

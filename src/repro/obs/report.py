@@ -55,6 +55,23 @@ def _dominant_phase(manifest: RunManifest) -> str:
     return f"{name} {share:.0f}% ({totals[name]:.3f}s)"
 
 
+def _interned(manifest: RunManifest) -> str:
+    """What the packed walker interned, from the ``explore.done``
+    gauges: local states per slot, then register values, e.g.
+    ``181+181 / 3``.  Blank for runs without those gauges."""
+    gauges = manifest.telemetry.get("gauges", {})
+    prefix = "explore.interned_locals."
+    slots = sorted(
+        (int(name[len(prefix):]), count)
+        for name, count in gauges.items()
+        if name.startswith(prefix) and name[len(prefix):].isdigit()
+    )
+    if not slots:
+        return ""
+    locals_part = "+".join(str(int(count)) for _, count in slots)
+    return f"{locals_part} / {int(gauges.get('explore.interned_values', 0))}"
+
+
 def render_report(manifests: Sequence[RunManifest], title: Optional[str] = None) -> str:
     """One table row per manifest, newest schema fields first."""
     rows: List[List[Any]] = []
@@ -69,6 +86,7 @@ def render_report(manifests: Sequence[RunManifest], title: Optional[str] = None)
                 _outcome_number(manifest, "states", "steps", "runs"),
                 _outcome_number(manifest, "events"),
                 _outcome_number(manifest, "wall_seconds"),
+                _interned(manifest),
                 _dominant_phase(manifest),
                 (manifest.git_rev or "")[:12],
             ]
@@ -83,6 +101,7 @@ def render_report(manifests: Sequence[RunManifest], title: Optional[str] = None)
             "states/steps",
             "events",
             "wall s",
+            "interned",
             "dominant phase",
             "git rev",
         ],

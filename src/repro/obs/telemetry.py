@@ -14,14 +14,7 @@ decisions follow:
   *result* identity instead);
 * a :class:`Telemetry` is plain dictionaries and a bounded
   :class:`~collections.deque` — no locks, no I/O, no background thread.
-  One sink belongs to one run in one process; the work-stealing
-  parallel backend keeps that true by instrumenting workers with plain
-  in-process counters (chunks, states, steals, donations, inserts,
-  duplicates, phase seconds) that ride home in each worker's result
-  log — the coordinator replays them into the caller's sink during the
-  merge phase, one ``parallel.worker`` event per worker plus aggregate
-  ``parallel.*`` counts, so the sink itself never crosses a process
-  boundary.
+  One sink belongs to one run in one process.
 
 Phase timers use :func:`time.perf_counter` (monotonic); re-entering a
 phase accumulates.  The event log is bounded (default 1024 entries,

@@ -67,29 +67,6 @@ def _binary_inputs(params: Dict) -> Inputs:
     return {PIDS[0]: 1, PIDS[1]: 2}
 
 
-def _mutex_domain(params: Dict) -> Tuple:
-    """Every value a Figure 1 register can hold: 0 plus the pids in play."""
-    return (0,) + pids(params.get("n", 2))
-
-
-def _consensus_domain(params: Dict) -> Tuple:
-    """Every value a Figure 2 register can hold.
-
-    Registers start at the empty record and are only ever overwritten
-    with ``(pid, pref)`` where ``pref`` is some process's input (line 4's
-    adoption can only ever pick up another input value).
-    """
-    from repro.memory.records import ConsensusRecord
-
-    inputs = dict(_consensus_inputs(params))
-    values = sorted(set(inputs.values()))
-    return (ConsensusRecord(),) + tuple(
-        ConsensusRecord(pid, value)
-        for pid in pids(params.get("n", 2))
-        for value in values
-    )
-
-
 def _ring_naming(params: Dict):
     from repro.memory.naming import RingNaming
 
@@ -147,7 +124,6 @@ def _specs() -> Tuple[ProblemSpec, ...]:
                 m=p["m"], cs_visits=p.get("cs_visits", 1)
             ),
             inputs=_mutex_pids,
-            value_domain=_mutex_domain,
             theorems=(
                 "Theorem 3.1", "Theorem 3.2", "Theorem 3.3", "Theorem 3.4",
             ),
@@ -210,7 +186,6 @@ def _specs() -> Tuple[ProblemSpec, ...]:
             automata=(AnonymousConsensusProcess,),
             build=lambda p: AnonymousConsensus(n=p["n"]),
             inputs=_consensus_inputs,
-            value_domain=_consensus_domain,
             theorems=("Theorem 4.1", "Theorem 4.2"),
             invariant=consensus_safety,
             liveness=(
@@ -584,7 +559,6 @@ def _specs() -> Tuple[ProblemSpec, ...]:
                 m=p["m"], cs_visits=1, unsafe_allow_any_m=True
             ),
             inputs=_mutex_pids,
-            value_domain=_mutex_domain,
             theorems=("Theorem 3.1", "Theorem 3.4"),
             invariant=mutual_exclusion_invariant,
             naming=_ring_naming,

@@ -211,15 +211,6 @@ class ProblemSpec:
     #: Declared register footprints, keyed by automaton qualname; the
     #: footprint pass cross-checks these against the inferred ones.
     footprints: Tuple[Tuple[str, AutomatonFootprint], ...] = ()
-    #: Optional declaration of the closed register value domain, as a
-    #: function of an instance's parameter dict: every value any
-    #: register can ever hold (including initial contents).  The
-    #: compiled kernel seeds its value-domain enumeration with it (a
-    #: superset is harmless — the closure completes any subset), and the
-    #: differential tests cross-check the discovered domain against it.
-    #: ``None`` for problems whose domain is combinatorial (renaming
-    #: records carry unbounded history sets).
-    value_domain: Optional[Callable[[Dict[str, Any]], Tuple[Any, ...]]] = None
 
     def instance(self, label: str) -> ProblemInstance:
         """The instance with the given label.

@@ -5,13 +5,15 @@ exploration.explore`, :func:`~repro.verify.runner.verify_instance`,
 :func:`~repro.analysis.experiments.sweep_problem`,
 :func:`~repro.farm.orchestrator.run_farm` and the fuzz engine
 (:func:`~repro.fuzz.engine.run_fuzz`) — and before this module each
-grew its own drifting keyword list (backend here, kernel there,
+grew its own drifting keyword list (backend here, workers there,
 max_states under two names).  A :class:`RunRequest` is the frozen value
 they all consume instead:
 
 * *what*: ``problem`` / ``instance`` / ``params`` — resolved through
   the problem registry by :func:`resolve_target`;
-* *how*: ``kernel``, ``backend``, ``workers`` — the execution engine;
+* *how*: ``backend``, ``workers`` — the execution engine (exhaustive
+  walks default to the packed walker; ``backend`` takes an
+  exploration-backend instance, or a sweep executor name);
 * *budgets*: ``max_steps`` (schedule length), ``max_states`` (distinct
   states);
 * *determinism*: ``seed`` — the single RNG root for stochastic
@@ -21,13 +23,8 @@ they all consume instead:
 
 Every field defaults to ``None`` ("entry point's default"), so a
 request only pins what the caller cares about.  Validation happens at
-construction: an invalid kernel/backend/workers combination fails
-before any work starts, with the same error text the CLI prints.
-
-The pre-request keyword spellings on ``verify_instance`` and
-``sweep_problem`` still work but warn with ``DeprecationWarning``
-(messages pinned by ``tests/test_request.py``); they are removed in
-PR 11.
+construction: an invalid backend/workers value fails before any work
+starts, with the same error text the CLI prints.
 """
 
 from __future__ import annotations
@@ -43,28 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.problems.spec import ProblemInstance, ProblemSpec
 
 __all__ = [
-    "KERNELS",
     "BACKENDS",
     "RunRequest",
     "resolve_target",
-    "deprecated_keywords_message",
 ]
 
-
-def deprecated_keywords_message(func: str, keywords: Any) -> str:
-    """The pinned DeprecationWarning text for legacy execution keywords."""
-    listed = "/".join(f"{keyword}=" for keyword in keywords)
-    return (
-        f"{func}({listed}...) is deprecated; pass a RunRequest via "
-        "request= (the keyword form will be removed in PR 11)"
-    )
-
-#: The step-kernel vocabulary every entry point shares.
-KERNELS: Tuple[str, ...] = ("interpreted", "compiled")
-
-#: The backend-name vocabulary (exploration backends + the sweep
-#: executor's ``"process"`` spelling).
-BACKENDS: Tuple[str, ...] = ("serial", "parallel", "process")
+#: The backend-name vocabulary: the sweep executors.
+BACKENDS: Tuple[str, ...] = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -81,7 +63,6 @@ class RunRequest:
     problem: Optional[str] = None
     instance: Optional[str] = None
     params: Optional[Any] = None
-    kernel: Optional[str] = None
     backend: Optional[Any] = None
     workers: Optional[int] = None
     max_steps: Optional[int] = None
@@ -94,22 +75,10 @@ class RunRequest:
             object.__setattr__(
                 self, "params", tuple(sorted(self.params.items()))
             )
-        if self.kernel is not None and self.kernel not in KERNELS:
-            raise ConfigurationError(
-                f"unknown kernel {self.kernel!r}; "
-                "expected 'interpreted' or 'compiled'"
-            )
         if isinstance(self.backend, str) and self.backend not in BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; "
-                "expected 'serial', 'parallel' or 'process'"
-            )
-        if self.kernel == "compiled" and isinstance(self.backend, str) and (
-            self.backend != "serial"
-        ):
-            raise ConfigurationError(
-                "kernel='compiled' is a drop-in replacement for the "
-                f"serial backend; got backend {self.backend!r}"
+                "expected 'serial' or 'process'"
             )
         for name in ("workers", "max_steps", "max_states"):
             value = getattr(self, name)

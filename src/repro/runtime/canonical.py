@@ -14,9 +14,8 @@ BLAKE2b, memoised per value) and packs one global state into a flat
 per process.  Because the digest depends only on the value's content —
 not on interning order, process identity or ``PYTHONHASHSEED`` — two
 canonicalizers built from the same instance in *different OS processes*
-produce identical keys, which is what lets the parallel exploration
-backend (:mod:`repro.runtime.backends`) canonicalize in workers and
-deduplicate at the coordinator.  Key equality coincides with the
+produce identical keys — a sweep worker process and its parent agree
+on every key.  Key equality coincides with the
 equality the seed explorer used up to BLAKE2b collisions on 64-bit
 digests (probability ≈ ``n²/2⁶⁵`` for ``n`` distinct values — about
 ``10⁻⁸`` even for a billion-value walk, and a collision could only
@@ -140,7 +139,7 @@ def stable_encode(value: Any) -> bytes:
 
     The encoding depends only on the value's *content*: it is identical
     across OS processes, interpreter runs and ``PYTHONHASHSEED`` values —
-    the property parallel workers need to produce comparable state keys.
+    the property worker processes need to produce comparable state keys.
     Containers are tagged and length-delimited (so ``(1, 2)``, ``[1, 2]``
     and ``"12"`` never collide); sets and dicts are serialised in sorted
     -encoding order; dataclasses (the repo's local-state idiom) encode as
@@ -341,103 +340,98 @@ class _GroupElement:
         self.footprint_ids: Dict[Any, bytes] = {}
 
 
-@dataclass(frozen=True)
+@dataclass
 class PackedCandidate:
     """One group element's digest tables over a packed-state domain.
 
     ``value_digest[vi]`` is the digest of the *renamed* register value
-    ``values[vi]``; ``slot_digest[slot][si]`` is the digest of slot
-    ``slot``'s renamed footprint for local state ``si`` with the source
-    slot's flag byte appended — exactly the bytes :meth:`Canonicalizer._key`
+    ``vi``; ``slot_digest[slot][si]`` is the digest of slot ``slot``'s
+    renamed footprint for local state ``si`` with the source slot's flag
+    byte appended — exactly the bytes :meth:`Canonicalizer._key`
     contributes for that element, reindexed by packed-state components.
     """
 
     source_phys: Tuple[int, ...]
     source_slot: Tuple[int, ...]
-    value_digest: Tuple[bytes, ...]
-    slot_digest: Tuple[Tuple[bytes, ...], ...]
+    value_digest: List[bytes]
+    slot_digest: List[List[bytes]]
 
 
-@dataclass(frozen=True)
 class PackedDigestTables:
     """Digest tables for computing canonical keys from packed states.
 
-    Produced by :meth:`Canonicalizer.packed_digest_tables` for the
-    compiled kernel: ``value_raw[vi]`` and ``slot_raw[slot][si]``
-    (footprint digest + flag byte) concatenate to the raw key, and each
+    Produced empty by :meth:`Canonicalizer.packed_digest_tables` and
+    grown one entry at a time as the packed walker interns register
+    values (:meth:`add_value`) and local states (:meth:`add_local`):
+    ``value_raw[vi]`` and ``slot_raw[slot][si]`` (footprint digest +
+    flag byte) concatenate to the raw key, and each
     :class:`PackedCandidate` yields one orbit candidate; the canonical
     key is the minimum — byte-identical to :meth:`Canonicalizer._key`
-    because every digest passed through the same intern/digest path.
-
-    The ``batch_*`` methods serve the batched exploration core: they
-    walk a *flat* integer batch (``m + nslots`` ints per state, the
-    packed layout, concatenated — an ``array('q')`` or any integer
-    sequence) and digest every state in one pass, so per-batch dedup
-    pays the Python dispatch cost once per batch instead of once per
-    state.
+    because every digest passes through the same intern/digest path.
+    The lists only ever grow in place, so a walk may hoist them.
     """
 
-    value_raw: Tuple[bytes, ...]
-    slot_raw: Tuple[Tuple[bytes, ...], ...]
-    candidates: Tuple[PackedCandidate, ...]
+    def __init__(
+        self, canonicalizer: "Canonicalizer", slot_crashed: Sequence[bool]
+    ) -> None:
+        self._canonicalizer = canonicalizer
+        self._crashed_bits = [1 if crashed else 0 for crashed in slot_crashed]
+        nslots = len(self._crashed_bits)
+        self.value_raw: List[bytes] = []
+        self.slot_raw: List[List[bytes]] = [[] for _ in range(nslots)]
+        self.candidates: Tuple[PackedCandidate, ...] = tuple(
+            PackedCandidate(
+                source_phys=element.source_phys,
+                source_slot=element.source_slot,
+                value_digest=[],
+                slot_digest=[[] for _ in range(nslots)],
+            )
+            for element in canonicalizer._elements
+        )
 
-    def batch_raw(self, flat: Sequence[int], m: int) -> List[bytes]:
-        """Raw keys of a flat batch of packed states.
+    def add_value(self, value: Any) -> None:
+        """Append the digests of the next interned register value.
 
-        ``flat`` holds ``len(flat) // (m + nslots)`` packed states
-        back to back; ``m`` is the register count (the packed prefix
-        width).  Each returned key is byte-identical to the raw half of
-        :meth:`Canonicalizer.key_of_state` on the unpacked state.
+        Raises whatever a rename hook raises, before any table grows.
         """
-        value_raw = self.value_raw
-        slot_raw = self.slot_raw
-        nslots = len(slot_raw)
-        stride = m + nslots
-        out: List[bytes] = []
-        for base in range(0, len(flat), stride):
-            parts = [value_raw[flat[base + i]] for i in range(m)]
-            for s in range(nslots):
-                parts.append(slot_raw[s][flat[base + m + s]])
-            out.append(b"".join(parts))
-        return out
+        canon = self._canonicalizer
+        raw = canon._digest_of(value)
+        renamed = [
+            canon._digest_of(
+                canon._rename_value_fn(
+                    value, element.pids_renamed, element.values_renamed
+                )
+            )
+            for element in canon._elements
+        ]
+        self.value_raw.append(raw)
+        for cand, digest in zip(self.candidates, renamed):
+            cand.value_digest.append(digest)
 
-    def batch_keys(
-        self, flat: Sequence[int], m: int
-    ) -> List[Tuple[bytes, bytes]]:
-        """``(canonical_key, raw_key)`` pairs for a flat packed batch.
+    def add_local(self, slot: int, state: Any, halted: bool) -> None:
+        """Append the digests of slot ``slot``'s next interned local state.
 
-        The canonical key is the minimum over this table's orbit
-        candidates, exactly as :meth:`Canonicalizer._key` computes it;
-        with no candidates the two keys coincide (shared objects, no
-        copy).
+        Raises whatever a footprint or rename hook raises, before any
+        table grows.
         """
-        value_raw = self.value_raw
-        slot_raw = self.slot_raw
-        candidates = self.candidates
-        nslots = len(slot_raw)
-        stride = m + nslots
-        out: List[Tuple[bytes, bytes]] = []
-        for base in range(0, len(flat), stride):
-            parts = [value_raw[flat[base + i]] for i in range(m)]
-            for s in range(nslots):
-                parts.append(slot_raw[s][flat[base + m + s]])
-            raw = b"".join(parts)
-            if not candidates:
-                out.append((raw, raw))
-                continue
-            best = raw
-            for cand in candidates:
-                cparts = [
-                    cand.value_digest[flat[base + phys]]
-                    for phys in cand.source_phys
-                ]
-                for s in cand.source_slot:
-                    cparts.append(cand.slot_digest[s][flat[base + m + s]])
-                joined = b"".join(cparts)
-                if joined < best:
-                    best = joined
-            out.append((best, raw))
-        return out
+        canon = self._canonicalizer
+        footprint_fn = canon._footprint_fns[slot]
+        footprint = state if footprint_fn is None else footprint_fn(state)
+        flag = _FLAG_BYTES[(2 if halted else 0) | self._crashed_bits[slot]]
+        raw = canon._digest_of(footprint) + flag
+        rename_fn = canon._rename_footprint_fns[slot]
+        renamed = [
+            canon._digest_of(
+                rename_fn(
+                    footprint, element.pids_renamed, element.values_renamed
+                )
+            )
+            + flag
+            for element in canon._elements
+        ]
+        self.slot_raw[slot].append(raw)
+        for cand, digest in zip(self.candidates, renamed):
+            cand.slot_digest[slot].append(digest)
 
 
 class Canonicalizer:
@@ -450,7 +444,7 @@ class Canonicalizer:
       path.
     * :meth:`key_of_state` encodes a :data:`~repro.runtime.kernel.GlobalState`
       *value* without touching any live object — the path the pure
-      kernel and the parallel workers use.
+      kernel and the interpreter backend use.
 
     Both return ``(canonical_key, raw_key)``: the minimum of the orbit
     under the configured group, and the identity encoding.  With an
@@ -509,7 +503,7 @@ class Canonicalizer:
         """Distinct register values / footprints digested so far."""
         return len(self._intern)
 
-    # -- pickling (parallel workers canonicalize locally) ------------------
+    # -- pickling (worker processes canonicalize locally) ------------------
 
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
@@ -623,94 +617,24 @@ class Canonicalizer:
                 best = packed
         return best, raw
 
+    def _digest_of(self, value: Any) -> bytes:
+        """The memoised content digest of one value or footprint."""
+        cached = self._intern.get(value)
+        if cached is None:
+            cached = _digest(value)
+            self._intern[value] = cached
+        return cached
+
     def packed_digest_tables(
-        self,
-        values: Sequence[Any],
-        slot_states: Sequence[Sequence[Any]],
-        slot_halted: Sequence[Sequence[bool]],
-        slot_crashed: Sequence[bool],
+        self, slot_crashed: Sequence[bool]
     ) -> PackedDigestTables:
-        """Precompute the digests :meth:`_key` would produce, by index.
+        """Empty digest tables the packed walker grows as it interns.
 
-        The compiled kernel enumerates a closed register value domain
-        and per-slot local-state spaces ahead of time; this method runs
-        every (value, footprint, rename) through the *same* intern and
-        digest path as :meth:`_key`, so keys assembled from the returned
-        tables are byte-identical to ``key_of_state`` on the unpacked
-        state.  Raises whatever a footprint or rename hook raises —
-        callers treat that as a compilation failure.
+        Every entry runs through the *same* intern and digest path as
+        :meth:`_key`, so keys assembled from the tables are
+        byte-identical to ``key_of_state`` on the unpacked state.
         """
-        intern = self._intern
-
-        def digest_of(value: Any) -> bytes:
-            cached = intern.get(value)
-            if cached is None:
-                cached = _digest(value)
-                intern[value] = cached
-            return cached
-
-        value_raw = tuple(digest_of(value) for value in values)
-        footprints: List[List[Any]] = []
-        flags: List[List[bytes]] = []
-        slot_raw_rows: List[Tuple[bytes, ...]] = []
-        for slot, states in enumerate(slot_states):
-            footprint_fn = self._footprint_fns[slot]
-            fps = [
-                state if footprint_fn is None else footprint_fn(state)
-                for state in states
-            ]
-            footprints.append(fps)
-            crashed_bit = 1 if slot_crashed[slot] else 0
-            flag_row = [
-                _FLAG_BYTES[(2 if halted else 0) | crashed_bit]
-                for halted in slot_halted[slot]
-            ]
-            flags.append(flag_row)
-            slot_raw_rows.append(
-                tuple(
-                    digest_of(fp) + flag
-                    for fp, flag in zip(fps, flag_row)
-                )
-            )
-        candidates: List[PackedCandidate] = []
-        for element in self._elements:
-            value_digest = tuple(
-                digest_of(
-                    self._rename_value_fn(
-                        value, element.pids_renamed, element.values_renamed
-                    )
-                )
-                for value in values
-            )
-            slot_digest_rows: List[Tuple[bytes, ...]] = []
-            for slot, fps in enumerate(footprints):
-                rename_fn = self._rename_footprint_fns[slot]
-                slot_digest_rows.append(
-                    tuple(
-                        digest_of(
-                            rename_fn(
-                                fp,
-                                element.pids_renamed,
-                                element.values_renamed,
-                            )
-                        )
-                        + flag
-                        for fp, flag in zip(fps, flags[slot])
-                    )
-                )
-            candidates.append(
-                PackedCandidate(
-                    source_phys=element.source_phys,
-                    source_slot=element.source_slot,
-                    value_digest=value_digest,
-                    slot_digest=tuple(slot_digest_rows),
-                )
-            )
-        return PackedDigestTables(
-            value_raw=value_raw,
-            slot_raw=tuple(slot_raw_rows),
-            candidates=tuple(candidates),
-        )
+        return PackedDigestTables(self, slot_crashed)
 
 
 class TrivialCanonicalizer(Canonicalizer):

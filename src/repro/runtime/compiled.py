@@ -1,191 +1,333 @@
-"""Table-compiled step kernel: packed states, integer transition tables.
+"""The packed walker: lazily interned states, integer transition tables.
 
 The interpreted hot path costs, per event, a ``next_op`` call, an
 ``isinstance`` dispatch, an ``apply`` call, an ``is_halted`` call, and a
 tuple rebuild over heterogeneous values.  For the shipped automata the
 whole of that work is a pure function of *which local state the stepping
-process is in* and *which register value it reads* — both drawn from
-small finite sets.  This module hoists it to compile time:
+process is in* and *which register value it reads*.  This module caches
+it in dense integer tables, filled the first time the walk needs them:
 
-1. :func:`compile_program` enumerates each slot's reachable local-state
-   space and the closed register value domain ahead of time (an
-   interleaved fixpoint: classifying a state can grow the value domain
-   via its write, and growing the domain extends every read row), and
-   collapses ``next_op`` / ``apply`` / ``is_halted`` into dense integer
-   tables — ``kind[s][si]`` (LOCAL / READ / WRITE / HALTED / RAISE),
-   ``arg[s][si]`` (physical register index), ``write_value[s][si]``,
-   ``next_state[s][si]`` and per-read-state rows
-   ``rows[s][si][value_index]``.
+1. A :data:`PackedState` is a flat tuple of small integers — ``m``
+   register value ids followed by one local-state id per slot — the
+   §6.1 state ("register values + location counters") with every
+   component replaced by its id.  Successor expansion is integer
+   indexing plus a tuple copy.
 
-2. A :data:`PackedState` is a flat tuple of small integers — ``m``
-   register value indices followed by one local-state index per slot —
-   so successor expansion is integer indexing plus a tuple copy instead
-   of attribute lookups and ``isinstance`` dispatch per step.
+2. :class:`CompiledProgram` assigns ids on demand.  Its
+   :meth:`~CompiledProgram.intern_local` gives a local state its id the
+   first time the walk produces it, and fills in the same call every
+   per-state table: ``halted``/``live``, the state's digest-table
+   entries (:class:`~repro.runtime.canonical.PackedDigestTables`) and
+   its suspect facts (see below).  :meth:`~CompiledProgram.intern_value`
+   does the same for a register value.  A state's transition entries —
+   ``kind[s][si]`` (LOCAL / READ / WRITE / HALTED / NEW), ``arg[s][si]``
+   (physical register index), ``write_value[s][si]``,
+   ``next_state[s][si]`` and the read row ``rows[s][si][value_id]`` —
+   start unfilled (kind :data:`OP_NEW`, read entries ``< 0``) and are
+   filled by :meth:`~CompiledProgram.step_packed` the first time a walk
+   steps through them.  The walks' hot loops test exactly those two
+   sentinels and call ``step_packed`` for them, so there is no
+   ahead-of-time enumeration, no cap on the number of local states or
+   values, and no fallback engine: ids are interned by value equality,
+   so packing is injective over everything the walk has seen.
 
 3. :class:`CompiledBackend` conforms to the
    :class:`~repro.runtime.backends.ExplorationBackend` protocol and
    mirrors :class:`~repro.runtime.backends.SerialBackend` statement for
    statement over packed states, including ``retain_graph`` recording
-   whose :meth:`StateGraph.to_bytes` is byte-identical.
+   whose :meth:`StateGraph.to_bytes` is byte-identical.  It is the
+   engine behind :func:`~repro.runtime.exploration.explore`'s default;
+   ``SerialBackend`` stays as its differential oracle.
 
-**Overflow to the interpreter.**  Compilation is best-effort, never
-load-bearing for correctness:
+**Hook exceptions.**  The automata hooks run at the step that first
+needs them — ``next_op``/``apply``/``is_halted`` inside ``step_packed``,
+footprint and rename hooks inside the digest tables — which is the step
+at which the interpreter calls them, so a hook that raises propagates
+its genuine exception from the same step; no table entry is written for
+it, and a later attempt raises again (the automata are deterministic).
 
-* If a local-state space or value domain is unbounded (caps exceeded),
-  a hook raises, or the instance's shape is unexpected, the backend
-  falls back wholesale to ``SerialBackend`` — bit-identical by
-  definition.  ``result.kernel`` stays ``"interpreted"`` in that case so
-  callers can see which kernel actually ran.
-* A transition whose ``next_op``/``apply``/``is_halted`` raised at
-  compile time is marked :data:`OP_RAISE`; reaching it at runtime
-  unpacks the state and re-executes the interpreted
-  :func:`~repro.runtime.kernel.step_value`, reproducing the genuine
-  exception (the automata are deterministic).
-* Invariants are handled by *suspicion tables*: for the stock invariants
-  a per-(slot, local-state) fact table decides suspicion with a few
-  integer lookups, and only suspected states are unpacked and handed to
-  the real invariant — so violation messages are byte-identical by
-  construction.  Unknown invariants are evaluated on every state over an
-  unpacked :class:`~repro.runtime.kernel.StateView` (slow but exact).
+**Invariants** are handled by *suspect facts*: for the stock invariants
+a per-(slot, local-state) fact decides suspicion with a few integer
+lookups, and only suspected states are unpacked and handed to the real
+invariant — so violation messages are byte-identical by construction.
+The one documented ``except Exception`` in this module is the fact hook
+case: an ``in_critical_section``/``output`` hook that raises marks its
+local state suspect, so the real invariant re-raises the genuine
+exception when it checks a state holding it.  Unknown invariants are
+evaluated on every state over an unpacked
+:class:`~repro.runtime.kernel.StateView` (slow but exact).
 """
 
 from __future__ import annotations
 
+import struct
 import time
-from array import array
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
-from repro.runtime.backends import ExplorationTask, Invariant, SerialBackend
-from repro.runtime.canonical import TrivialCanonicalizer
+from repro.runtime.backends import ExplorationTask, Invariant
+from repro.runtime.canonical import (
+    Canonicalizer,
+    PackedDigestTables,
+    TrivialCanonicalizer,
+)
 from repro.runtime.exploration import ExplorationResult
-from repro.runtime.kernel import GlobalState, StateView, StepInstance, step_value
+from repro.runtime.kernel import (
+    GlobalState,
+    StateView,
+    StepInstance,
+    _physical_index,
+    step_value,
+)
 from repro.runtime.ops import ReadOp, WriteOp
 from repro.types import ProcessId
 
-#: A packed global state: ``m`` register value indices followed by one
-#: local-state index per slot, all small ints.  Injective over the
-#: enumerated closure by construction (indices are interned by value
-#: equality, exactly like the canonicalizer's digest intern).
+#: A packed global state: ``m`` register value ids followed by one
+#: local-state id per slot, all small ints.
 PackedState = Tuple[int, ...]
 
 # Transition kinds, one per local state per slot.
 OP_LOCAL = 0  #: no memory effect; successor in ``next_state``
-OP_READ = 1  #: successor row indexed by the read value's index
+OP_READ = 1  #: successor row indexed by the read value's id
 OP_WRITE = 2  #: writes ``write_value`` to ``arg``; successor in ``next_state``
 OP_HALTED = 3  #: no transition; stepping it is a scheduling error
-OP_RAISE = 4  #: compile-time poison — delegate to the interpreter
+OP_NEW = 4  #: interned but not yet stepped; ``step_packed`` classifies it
 
-#: Poisoned read-row entry: this (state, value) transition raised at
-#: compile time; delegate to the interpreter to reproduce the exception.
-RAISE_ENTRY = -1
+#: A read-row entry whose (state, value) transition has not run yet.
+UNFILLED = -1
 
-
-class CompileOverflow(Exception):
-    """The instance exceeds the compiler's enumerable envelope.
-
-    Raised when a local-state space or register value domain is (or
-    appears) unbounded, a value is unhashable, or the instance's shape
-    does not match the packed layout.  The backend responds by falling
-    back to the interpreted ``SerialBackend``.
-    """
-
-
-class _Poison(Exception):
-    """Internal: a hook raised while materialising a successor state."""
+#: A fact-table callback: ``fact(slot, local_state, halted)``.
+FactFn = Callable[[int, Any, bool], Any]
 
 
 class CompiledProgram:
-    """Dense transition tables for one :class:`StepInstance`.
+    """Lazily grown transition tables for one :class:`StepInstance`.
 
-    Instances are produced by :func:`compile_program`; all attributes
-    are read-mostly plain lists/tuples so the backend's hot loop can
-    hoist them into locals.
+    Every table is a plain list that only ever grows in place, so a
+    walk may hoist per-slot rows into locals once and see every entry
+    interned after that.  ``canonicalizer`` (optional) attaches digest
+    tables the walk assembles state keys from; fact tables attach with
+    :meth:`add_facts`.
     """
 
     def __init__(
         self,
         instance: StepInstance,
-        values: List[Any],
-        value_index: Dict[Any, int],
-        slots: Tuple[ProcessId, ...],
-        autos: List[Any],
-        states: List[List[Any]],
-        state_index: List[Dict[Any, int]],
-        halted: List[List[bool]],
-        crashed: List[bool],
-        kind: List[List[int]],
-        arg: List[List[int]],
-        write_value: List[List[int]],
-        next_state: List[List[int]],
-        rows: List[List[Optional[List[int]]]],
-        initial_packed: PackedState,
+        initial: GlobalState,
+        canonicalizer: Optional[Canonicalizer] = None,
     ) -> None:
+        registers, locals_part = initial
+        slots = tuple(entry[0] for entry in locals_part)
+        for pid, slot in instance.slot_of.items():
+            if slot >= len(slots) or slots[slot] != pid:
+                raise ConfigurationError(
+                    "the initial state's slot layout does not match the "
+                    "step instance"
+                )
+        nslots = len(slots)
         self.instance = instance
-        self.values = values
-        self.value_index = value_index
         self.slots = slots
-        self.autos = autos
-        self.states = states
-        self.state_index = state_index
-        self.halted = halted
-        self.crashed = crashed
-        self.kind = kind
-        self.arg = arg
-        self.write_value = write_value
-        self.next_state = next_state
-        self.rows = rows
-        self.initial_packed = initial_packed
-        self.m = len(initial_packed) - len(slots)
+        self.m = len(registers)
+        self.autos = [instance.automata[pid] for pid in slots]
+        self.crashed = [bool(entry[3]) for entry in locals_part]
+        self.values: List[Any] = []
+        self.value_index: Dict[Any, int] = {}
+        self.states: List[List[Any]] = [[] for _ in range(nslots)]
+        self.state_index: List[Dict[Any, int]] = [{} for _ in range(nslots)]
+        self.halted: List[List[bool]] = [[] for _ in range(nslots)]
+        #: ``live[slot][si]`` ⟺ the slot can step from local state si.
+        self.live: List[List[bool]] = [[] for _ in range(nslots)]
+        self.kind: List[List[int]] = [[] for _ in range(nslots)]
+        self.arg: List[List[int]] = [[] for _ in range(nslots)]
+        self.write_value: List[List[int]] = [[] for _ in range(nslots)]
+        self.next_state: List[List[int]] = [[] for _ in range(nslots)]
+        self.rows: List[List[Optional[List[int]]]] = [[] for _ in range(nslots)]
+        #: The ReadOp of every READ state, for filling its row.
+        self._read_op: List[List[Optional[ReadOp]]] = [[] for _ in range(nslots)]
+        #: Every read row, so a new value can extend them all.
+        self._all_rows: List[List[int]] = []
+        self._facts: List[Tuple[FactFn, List[List[Any]]]] = []
+        #: Per slot, the ``(pid, local, halted, crashed)`` entry of each
+        #: interned local state, shared by every state unpacked.
+        self._entries: List[List[Tuple[ProcessId, Any, bool, bool]]] = [
+            [] for _ in range(nslots)
+        ]
+        self.digests: Optional[PackedDigestTables] = (
+            canonicalizer.packed_digest_tables(self.crashed)
+            if canonicalizer is not None
+            else None
+        )
+        self.initial_packed = self.pack(initial)
+        for slot, entry in enumerate(locals_part):
+            if self.halted[slot][self.initial_packed[self.m + slot]] != bool(
+                entry[2]
+            ):
+                raise ConfigurationError(
+                    f"slot {slot}: the initial state's halted flag "
+                    "disagrees with the automaton's is_halted"
+                )
         #: (pid, slot, packed offset) in the instance's scheduling order.
         self.step_order: Tuple[Tuple[ProcessId, int, int], ...] = tuple(
             (pid, instance.slot_of[pid], self.m + instance.slot_of[pid])
             for pid in instance.pid_order
         )
 
+    # -- interning -----------------------------------------------------
+
+    def intern_value(self, value: Any) -> int:
+        """The id of a register value, assigned on first sight.
+
+        A new value extends every existing read row with an unfilled
+        entry and appends its digest-table entries.
+        """
+        vi = self.value_index.get(value)
+        if vi is None:
+            if self.digests is not None:
+                self.digests.add_value(value)
+            vi = len(self.values)
+            self.value_index[value] = vi
+            self.values.append(value)
+            for row in self._all_rows:
+                row.append(UNFILLED)
+        return vi
+
+    def intern_local(self, slot: int, local: Any) -> int:
+        """The id of one of ``slot``'s local states, assigned on first
+        sight together with its halted flag, digest-table entries and
+        facts; its transition entries start unfilled (:data:`OP_NEW`).
+
+        Hooks run before any table grows, so one that raises leaves the
+        program unchanged.
+        """
+        si = self.state_index[slot].get(local)
+        if si is not None:
+            return si
+        halted = bool(self.autos[slot].is_halted(local))
+        facts = [fact(slot, local, halted) for fact, _ in self._facts]
+        if self.digests is not None:
+            self.digests.add_local(slot, local, halted)
+        si = len(self.states[slot])
+        self.state_index[slot][local] = si
+        self.states[slot].append(local)
+        self._entries[slot].append(
+            (self.slots[slot], local, halted, self.crashed[slot])
+        )
+        self.halted[slot].append(halted)
+        self.live[slot].append(not (halted or self.crashed[slot]))
+        self.kind[slot].append(OP_HALTED if halted else OP_NEW)
+        self.arg[slot].append(0)
+        self.write_value[slot].append(0)
+        self.next_state[slot].append(0)
+        self.rows[slot].append(None)
+        self._read_op[slot].append(None)
+        for (_, tables), value in zip(self._facts, facts):
+            tables[slot].append(value)
+        return si
+
+    def add_facts(self, fact: FactFn) -> List[List[Any]]:
+        """Attach a per-(slot, local-state) fact table.
+
+        ``fact`` runs on every local state already interned and then on
+        each one :meth:`intern_local` adds; it must not raise.  Returns
+        the per-slot tables (grown in place).
+        """
+        tables = [
+            [
+                fact(slot, local, self.halted[slot][si])
+                for si, local in enumerate(states)
+            ]
+            for slot, states in enumerate(self.states)
+        ]
+        self._facts.append((fact, tables))
+        return tables
+
     # -- conversions ---------------------------------------------------
 
     def pack(self, state: GlobalState) -> PackedState:
-        """Pack a kernel value state; raises if outside the closure."""
+        """Pack a kernel value state, interning any new component."""
         registers, locals_part = state
-        return tuple(self.value_index[v] for v in registers) + tuple(
-            self.state_index[s][entry[1]]
-            for s, entry in enumerate(locals_part)
+        return tuple(self.intern_value(v) for v in registers) + tuple(
+            self.intern_local(s, entry[1]) for s, entry in enumerate(locals_part)
         )
 
     def unpack(self, packed: PackedState) -> GlobalState:
         """Rebuild the exact kernel value state a packed state denotes."""
         m = self.m
-        registers = tuple(self.values[vi] for vi in packed[:m])
-        locals_part = tuple(
-            (
-                pid,
-                self.states[s][packed[m + s]],
-                self.halted[s][packed[m + s]],
-                self.crashed[s],
-            )
-            for s, pid in enumerate(self.slots)
+        values = self.values
+        return (
+            tuple([values[vi] for vi in packed[:m]]),
+            tuple([entries[packed[m + s]] for s, entries in enumerate(self._entries)]),
         )
-        return registers, locals_part
 
     # -- stepping ------------------------------------------------------
+
+    def _classify(self, slot: int, si: int) -> int:
+        """Fill local state ``si``'s transition entries; returns its kind.
+
+        Runs ``next_op`` and, for a write or a local step, ``apply`` and
+        the successor's interning — the hooks the interpreter runs on
+        the same step, in the same order.
+        """
+        kind = self.kind[slot][si]
+        if kind != OP_NEW:
+            return kind
+        local = self.states[slot][si]
+        auto = self.autos[slot]
+        pid = self.slots[slot]
+        op = auto.next_op(local)
+        if isinstance(op, ReadOp):
+            phys = _physical_index(self.instance, pid, op.index)
+            row = [UNFILLED] * len(self.values)
+            self._all_rows.append(row)
+            self.rows[slot][si] = row
+            self._read_op[slot][si] = op
+            self.arg[slot][si] = phys
+            kind = OP_READ
+        elif isinstance(op, WriteOp):
+            phys = _physical_index(self.instance, pid, op.index)
+            vi = self.intern_value(op.value)
+            nsi = self.intern_local(slot, auto.apply(local, op, None))
+            self.arg[slot][si] = phys
+            self.write_value[slot][si] = vi
+            self.next_state[slot][si] = nsi
+            kind = OP_WRITE
+        else:
+            # Any other operation: no memory effect, read result is None.
+            self.next_state[slot][si] = self.intern_local(
+                slot, auto.apply(local, op, None)
+            )
+            kind = OP_LOCAL
+        self.kind[slot][si] = kind
+        return kind
 
     def step_packed(self, packed: PackedState, slot: int) -> PackedState:
         """One step of ``slot``'s process on a packed state.
 
-        Table-driven for LOCAL/READ/WRITE; overflow entries (poisoned
-        reads, OP_RAISE, OP_HALTED) delegate to the interpreter, which
-        reproduces the interpreted result or exception exactly.
+        The walks' slow branch: classifies an :data:`OP_NEW` state and
+        fills an unfilled read entry before stepping.  Stepping a halted
+        or crashed slot runs the interpreter, which raises its
+        scheduling error.
         """
         off = self.m + slot
         si = packed[off]
-        k = self.kind[slot][si]
+        if not self.live[slot][si]:
+            # Halted or crashed: the interpreter raises its scheduling error.
+            child = step_value(self.instance, self.unpack(packed), self.slots[slot])
+            return self.pack(child)
+        k = self._classify(slot, si)
         if k == OP_READ:
             row = self.rows[slot][si]
             assert row is not None
-            nsi = row[packed[self.arg[slot][si]]]
+            vi = packed[self.arg[slot][si]]
+            nsi = row[vi]
             if nsi < 0:
-                return self._interpret(packed, slot)
+                op = self._read_op[slot][si]
+                local = self.states[slot][si]
+                nsi = self.intern_local(
+                    slot, self.autos[slot].apply(local, op, self.values[vi])
+                )
+                row[vi] = nsi
             return packed[:off] + (nsi,) + packed[off + 1 :]
         if k == OP_WRITE:
             phys = self.arg[slot][si]
@@ -196,339 +338,7 @@ class CompiledProgram:
                 + (self.next_state[slot][si],)
                 + packed[off + 1 :]
             )
-        if k == OP_LOCAL:
-            return packed[:off] + (self.next_state[slot][si],) + packed[off + 1 :]
-        return self._interpret(packed, slot)
-
-    def _interpret(self, packed: PackedState, slot: int) -> PackedState:
-        """Overflow path: unpack, run the interpreted step, repack."""
-        state = self.unpack(packed)
-        child = step_value(self.instance, state, self.slots[slot])
-        return self.pack(child)
-
-    # -- batched expansion ---------------------------------------------
-
-    def live_tables(self) -> List[List[bool]]:
-        """``live[slot][si]`` ⟺ the slot can step from local state si
-        (not halted, not crashed) — the enabled-pid predicate over
-        packed components."""
-        return [
-            [not (self.crashed[s] or h) for h in self.halted[s]]
-            for s in range(len(self.slots))
-        ]
-
-    def expand_batch(self, flat: Sequence[int]) -> Tuple["array", "array"]:
-        """One-step successors of a flat batch of packed states.
-
-        ``flat`` holds packed states back to back (``m + nslots`` ints
-        each; an ``array('q')`` or any int sequence).  Returns
-        ``(children, edges)``:
-
-        * ``edges`` is a flat ``array('q')`` of ``(src, slot, inert)``
-          triples — one per enabled slot of every batch state, in the
-          instance's scheduling order within each state (so per-source
-          edge order matches the serial walk's pid order).  ``src`` is
-          the state's index within the batch; ``inert`` is 1 when the
-          step is a single-step self-loop (child == state, which under
-          the serial semantics costs exactly 2 events and retains a
-          self-edge).
-        * ``children`` is a flat ``array('q')`` holding one packed
-          child per **non-inert** edge, in edge order (inert edges
-          contribute no child row — the child is the source).
-
-        A source with no edges is terminal (every slot halted or
-        crashed).  Poisoned table entries delegate to the interpreter
-        exactly like :meth:`step_packed`, so genuine hook exceptions
-        propagate to the caller unchanged.
-        """
-        m = self.m
-        nslots = len(self.slots)
-        stride = m + nslots
-        kind = self.kind
-        arg = self.arg
-        wval = self.write_value
-        nxt = self.next_state
-        rows = self.rows
-        live = self.live_tables()
-        step_order = self.step_order
-        children = array("q")
-        edges = array("q")
-        for base in range(0, len(flat), stride):
-            src = base // stride
-            for _pid, s, off in step_order:
-                si = flat[base + off]
-                if not live[s][si]:
-                    continue
-                k = kind[s][si]
-                if k == OP_READ:
-                    row = rows[s][si]
-                    assert row is not None
-                    nsi = row[flat[base + arg[s][si]]]
-                    if nsi >= 0:
-                        if nsi == si:
-                            edges.extend((src, s, 1))
-                            continue
-                        start = len(children)
-                        children.extend(flat[base : base + stride])
-                        children[start + off] = nsi
-                        edges.extend((src, s, 0))
-                        continue
-                elif k == OP_WRITE:
-                    phys = arg[s][si]
-                    nsi = nxt[s][si]
-                    if nsi == si and flat[base + phys] == wval[s][si]:
-                        edges.extend((src, s, 1))
-                        continue
-                    start = len(children)
-                    children.extend(flat[base : base + stride])
-                    children[start + phys] = wval[s][si]
-                    children[start + off] = nsi
-                    edges.extend((src, s, 0))
-                    continue
-                elif k == OP_LOCAL:
-                    nsi = nxt[s][si]
-                    if nsi == si:
-                        edges.extend((src, s, 1))
-                        continue
-                    start = len(children)
-                    children.extend(flat[base : base + stride])
-                    children[start + off] = nsi
-                    edges.extend((src, s, 0))
-                    continue
-                # Poisoned entry (OP_RAISE, or a poisoned read row):
-                # interpret, reproducing the genuine result/exception.
-                state = tuple(flat[base : base + stride])
-                child = self._interpret(state, s)
-                if child == state:
-                    edges.extend((src, s, 1))
-                else:
-                    children.extend(child)
-                    edges.extend((src, s, 0))
-        return children, edges
-
-
-def compile_program(
-    instance: StepInstance,
-    initial: GlobalState,
-    domain_hint: Sequence[Any] = (),
-    max_local_states: int = 65536,
-    max_domain: int = 4096,
-) -> CompiledProgram:
-    """Enumerate the closure of ``initial`` into a :class:`CompiledProgram`.
-
-    Interleaved fixpoint: classify pending local states (which can grow
-    the value domain through writes and spawn successor states through
-    applies), then extend every read row to span the current domain
-    (which can spawn further states), until both queues are dry.  At the
-    fixpoint every read row covers the full closed domain, so no
-    reachable runtime read can fall off a row — the :data:`RAISE_ENTRY`
-    sentinel remains as a defensive overflow only for transitions whose
-    hooks genuinely raised.
-
-    ``domain_hint`` seeds the value domain (a
-    :meth:`~repro.problems.spec.ProblemSpec.value_domain` declaration);
-    a superset is harmless, a subset is completed by the fixpoint.
-
-    Raises :class:`CompileOverflow` when the closure exceeds the caps or
-    the instance's shape defeats packing; callers fall back to the
-    interpreter.
-    """
-    registers, locals_part = initial
-    m = len(registers)
-    slots = tuple(entry[0] for entry in locals_part)
-    for pid, slot in instance.slot_of.items():
-        if slot >= len(slots) or slots[slot] != pid:
-            raise CompileOverflow("slot layout does not match the instance")
-    autos = [instance.automata[pid] for pid in slots]
-    perms = [instance.permutations[pid] for pid in slots]
-    crashed = [bool(entry[3]) for entry in locals_part]
-    nslots = len(slots)
-
-    values: List[Any] = []
-    value_index: Dict[Any, int] = {}
-
-    def intern_value(value: Any) -> int:
-        try:
-            vi = value_index.get(value)
-        except TypeError as error:
-            raise CompileOverflow(
-                f"unhashable register value {value!r}"
-            ) from error
-        if vi is None:
-            if len(values) >= max_domain:
-                raise CompileOverflow(
-                    f"register value domain exceeds {max_domain} values"
-                )
-            vi = len(values)
-            value_index[value] = vi
-            values.append(value)
-        return vi
-
-    for value in registers:
-        intern_value(value)
-    for value in domain_hint:
-        intern_value(value)
-
-    states: List[List[Any]] = [[] for _ in range(nslots)]
-    state_index: List[Dict[Any, int]] = [{} for _ in range(nslots)]
-    halted: List[List[bool]] = [[] for _ in range(nslots)]
-    kind: List[List[int]] = [[] for _ in range(nslots)]
-    arg: List[List[int]] = [[] for _ in range(nslots)]
-    write_value: List[List[int]] = [[] for _ in range(nslots)]
-    next_state: List[List[int]] = [[] for _ in range(nslots)]
-    rows: List[List[Optional[List[int]]]] = [[] for _ in range(nslots)]
-    pending: List[Tuple[int, int]] = []
-    # (slot, si, the ReadOp) for every READ state, for row extension.
-    read_sites: List[Tuple[int, int, Any]] = []
-
-    def add_state(slot: int, local: Any) -> int:
-        try:
-            si = state_index[slot].get(local)
-        except TypeError as error:
-            raise CompileOverflow(
-                f"unhashable local state for slot {slot}"
-            ) from error
-        if si is None:
-            if len(states[slot]) >= max_local_states:
-                raise CompileOverflow(
-                    f"slot {slot} local-state space exceeds"
-                    f" {max_local_states} states"
-                )
-            try:
-                is_halted = bool(autos[slot].is_halted(local))
-            except CompileOverflow:
-                raise
-            except Exception as error:
-                raise _Poison from error
-            si = len(states[slot])
-            state_index[slot][local] = si
-            states[slot].append(local)
-            halted[slot].append(is_halted)
-            kind[slot].append(OP_RAISE)
-            arg[slot].append(0)
-            write_value[slot].append(0)
-            next_state[slot].append(0)
-            rows[slot].append(None)
-            pending.append((slot, si))
-        return si
-
-    initial_sis: List[int] = []
-    for slot, entry in enumerate(locals_part):
-        try:
-            si = add_state(slot, entry[1])
-        except _Poison as error:
-            raise CompileOverflow(
-                f"is_halted raised on slot {slot}'s initial state"
-            ) from error
-        if halted[slot][si] != bool(entry[2]):
-            raise CompileOverflow(
-                f"slot {slot}: initial halted flag disagrees with is_halted"
-            )
-        initial_sis.append(si)
-
-    def classify(slot: int, si: int) -> None:
-        local = states[slot][si]
-        if halted[slot][si]:
-            kind[slot][si] = OP_HALTED
-            return
-        auto = autos[slot]
-        try:
-            op = auto.next_op(local)
-        except Exception:
-            kind[slot][si] = OP_RAISE
-            return
-        if isinstance(op, ReadOp):
-            # An out-of-range view index raises ProtocolError at
-            # runtime; leave it to the interpreter to say so.
-            if not 0 <= op.index < m:
-                kind[slot][si] = OP_RAISE
-                return
-            kind[slot][si] = OP_READ
-            arg[slot][si] = perms[slot][op.index]
-            rows[slot][si] = []
-            read_sites.append((slot, si, op))
-            return
-        if isinstance(op, WriteOp):
-            if not 0 <= op.index < m:
-                kind[slot][si] = OP_RAISE
-                return
-            vi = intern_value(op.value)
-            try:
-                nsi = add_state(slot, auto.apply(local, op, None))
-            except (_Poison, CompileOverflow) as error:
-                if isinstance(error, CompileOverflow):
-                    raise
-                kind[slot][si] = OP_RAISE
-                return
-            except Exception:
-                kind[slot][si] = OP_RAISE
-                return
-            kind[slot][si] = OP_WRITE
-            arg[slot][si] = perms[slot][op.index]
-            write_value[slot][si] = vi
-            next_state[slot][si] = nsi
-            return
-        # Any other operation: no memory effect, read result is None.
-        try:
-            nsi = add_state(slot, auto.apply(local, op, None))
-        except (_Poison, CompileOverflow) as error:
-            if isinstance(error, CompileOverflow):
-                raise
-            kind[slot][si] = OP_RAISE
-            return
-        except Exception:
-            kind[slot][si] = OP_RAISE
-            return
-        kind[slot][si] = OP_LOCAL
-        next_state[slot][si] = nsi
-
-    while True:
-        while pending:
-            slot, si = pending.pop()
-            classify(slot, si)
-        progress = False
-        for slot, si, op in read_sites:
-            row = rows[slot][si]
-            assert row is not None
-            if len(row) == len(values):
-                continue
-            local = states[slot][si]
-            auto = autos[slot]
-            while len(row) < len(values):
-                value = values[len(row)]
-                try:
-                    nsi = add_state(slot, auto.apply(local, op, value))
-                except (_Poison, CompileOverflow) as error:
-                    if isinstance(error, CompileOverflow):
-                        raise
-                    nsi = RAISE_ENTRY
-                except Exception:
-                    nsi = RAISE_ENTRY
-                row.append(nsi)
-            progress = True
-        if not pending and not progress:
-            break
-
-    initial_packed = tuple(value_index[v] for v in registers) + tuple(
-        initial_sis
-    )
-    return CompiledProgram(
-        instance=instance,
-        values=values,
-        value_index=value_index,
-        slots=slots,
-        autos=autos,
-        states=states,
-        state_index=state_index,
-        halted=halted,
-        crashed=crashed,
-        kind=kind,
-        arg=arg,
-        write_value=write_value,
-        next_state=next_state,
-        rows=rows,
-        initial_packed=initial_packed,
-    )
+        return packed[:off] + (self.next_state[slot][si],) + packed[off + 1 :]
 
 
 # -- invariant compilation ---------------------------------------------
@@ -537,12 +347,13 @@ def compile_program(
 # return non-None here?".  It must never report False on a state the
 # interpreted invariant would flag (false negatives are unsound); a
 # False positive merely costs one unpack + real-invariant call that
-# returns None.  The fact tables below are exact on every enumerated
-# state, so both directions hold; any hook failure during fact
-# computation poisons the table and the checker degrades to evaluating
-# the real invariant on every state (slow but trivially exact).
+# returns None.  The fact tables below are exact on every interned
+# state, so both directions hold.  A fact hook that raises marks its
+# local state suspect, so the real invariant meets (and re-raises) the
+# genuine exception on every state holding it.
 
 _SKIP = object()  # slot not decided (not halted, or output is None)
+_SUSPECT = object()  # a fact hook raised: always hand the state over
 
 
 def _always_suspect(_packed: PackedState) -> bool:
@@ -551,74 +362,57 @@ def _always_suspect(_packed: PackedState) -> bool:
     return True
 
 
-def _output_facts(program: CompiledProgram) -> Optional[List[List[Any]]]:
-    """Per (slot, si): the decided non-None output, else ``_SKIP``.
+def _output_fact(program: CompiledProgram) -> FactFn:
+    """Per (slot, local state): the decided non-None output, ``_SKIP``,
+    or ``_SUSPECT`` when ``output`` raises or returns an unhashable
+    value (the stock invariants build sets of outputs, so the
+    interpreted invariant raises there)."""
+    autos = program.autos
 
-    Returns None (poison) if any ``output`` hook raises or any output
-    is unhashable (the stock invariants build sets of them, so an
-    unhashable output makes the *interpreted* invariant raise — the
-    generic path reproduces that).
-    """
-    facts: List[List[Any]] = []
-    for slot, auto in enumerate(program.autos):
-        row: List[Any] = []
-        for si, local in enumerate(program.states[slot]):
-            if not program.halted[slot][si]:
-                row.append(_SKIP)
-                continue
-            try:
-                out = auto.output(local)
-                hash(out)
-            except Exception:
-                return None
-            row.append(_SKIP if out is None else out)
-        facts.append(row)
-    return facts
+    def fact(slot: int, local: Any, halted: bool) -> Any:
+        if not halted:
+            return _SKIP
+        try:
+            out = autos[slot].output(local)
+            hash(out)
+        except Exception:  # noqa: BLE001 - the invariant re-raises it
+            return _SUSPECT
+        return _SKIP if out is None else out
 
-
-class _PairSuspect:
-    """Two-slot boolean-AND suspect (mutex with n=2).
-
-    Callable like any suspect function, but also exposes its per-slot
-    fact tables so the unrolled two-process loop can inline the two
-    subscripts instead of paying a function call per state: with 0/1
-    facts, ``count > 1`` ⟺ both flags set.
-    """
-
-    __slots__ = ("tables", "m")
-
-    def __init__(self, tables: List[List[int]], m: int) -> None:
-        self.tables = tables
-        self.m = m
-
-    def __call__(self, packed: PackedState) -> bool:
-        m = self.m
-        return bool(self.tables[0][packed[m]] and self.tables[1][packed[m + 1]])
+    return fact
 
 
 def _mutex_suspect(
     program: CompiledProgram,
 ) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect when ≥ 2 non-halted processes sit in the critical section."""
-    tables: List[List[int]] = []
-    for slot, auto in enumerate(program.autos):
-        in_cs = getattr(auto, "in_critical_section", None)
-        if in_cs is None:
-            return None
-        row: List[int] = []
-        for si, local in enumerate(program.states[slot]):
-            if program.halted[slot][si]:
-                row.append(0)
-            else:
-                try:
-                    row.append(1 if in_cs(local) else 0)
-                except Exception:
-                    return None
-        tables.append(row)
+    """Suspect when ≥ 2 non-halted processes sit in the critical section.
+
+    Facts are 0 (outside), 1 (inside) or 2 (the hook raised), so a sum
+    above 1 is two processes inside, or a raising hook to hand over.
+    """
+    in_cs = [
+        getattr(auto, "in_critical_section", None) for auto in program.autos
+    ]
+    if any(hook is None for hook in in_cs):
+        return None
+
+    def fact(slot: int, local: Any, halted: bool) -> int:
+        if halted:
+            return 0
+        try:
+            return 1 if in_cs[slot](local) else 0  # type: ignore[misc]
+        except Exception:  # noqa: BLE001 - the invariant re-raises it
+            return 2
+
     m = program.m
-    if len(tables) == 2:
-        return _PairSuspect(tables, m)
-    offs = [(m + slot, row) for slot, row in enumerate(tables)]
+    offs = [(m + slot, row) for slot, row in enumerate(program.add_facts(fact))]
+    if len(offs) == 2:
+        (off_a, row_a), (off_b, row_b) = offs
+
+        def pair(packed: PackedState) -> bool:
+            return row_a[packed[off_a]] + row_b[packed[off_b]] > 1
+
+        return pair
 
     def suspect(packed: PackedState) -> bool:
         count = 0
@@ -633,16 +427,20 @@ def _agreement_suspect(
     program: CompiledProgram,
 ) -> Optional[Callable[[PackedState], bool]]:
     """Suspect when two decided outputs are distinct (set semantics)."""
-    facts = _output_facts(program)
-    if facts is None:
-        return None
     m = program.m
-    offs = [(m + slot, row) for slot, row in enumerate(facts)]
+    offs = [
+        (m + slot, row)
+        for slot, row in enumerate(program.add_facts(_output_fact(program)))
+    ]
 
     def suspect(packed: PackedState) -> bool:
-        decided = [
-            v for off, row in offs if (v := row[packed[off]]) is not _SKIP
-        ]
+        decided = []
+        for off, row in offs:
+            value = row[packed[off]]
+            if value is _SUSPECT:
+                return True
+            if value is not _SKIP:
+                decided.append(value)
         return len(decided) > 1 and len(set(decided)) > 1
 
     return suspect
@@ -654,21 +452,19 @@ def _validity_suspect(
     """Suspect when a decided output is not one of the instance inputs."""
     try:
         legal = set(program.instance.inputs.values())
-    except Exception:
+    except TypeError:
         return None
-    facts = _output_facts(program)
-    if facts is None:
-        return None
-    tables: List[List[bool]] = []
-    for row in facts:
-        try:
-            tables.append(
-                [v is not _SKIP and v not in legal for v in row]
-            )
-        except Exception:
-            return None
+    output = _output_fact(program)
+
+    def fact(slot: int, local: Any, halted: bool) -> bool:
+        value = output(slot, local, halted)
+        # Hashable by construction (the output fact checked it).
+        return value is _SUSPECT or (value is not _SKIP and value not in legal)
+
     m = program.m
-    offs = [(m + slot, row) for slot, row in enumerate(tables)]
+    offs = [
+        (m + slot, row) for slot, row in enumerate(program.add_facts(fact))
+    ]
 
     def suspect(packed: PackedState) -> bool:
         return any(row[packed[off]] for off, row in offs)
@@ -680,40 +476,32 @@ def _unique_names_suspect(
     program: CompiledProgram,
 ) -> Optional[Callable[[PackedState], bool]]:
     """Suspect on duplicate names or a name outside ``1..n``."""
-    facts = _output_facts(program)
-    if facts is None:
-        return None
     n = len(program.instance.inputs)
-    bad: List[List[bool]] = []
-    for row in facts:
-        bad_row: List[bool] = []
-        for v in row:
-            if v is _SKIP:
-                bad_row.append(False)
-            else:
-                try:
-                    bad_row.append(not 1 <= v <= n)
-                except Exception:
-                    # Non-comparable name: the interpreted invariant's
-                    # range check raises on such states — only the
-                    # generic path reproduces that faithfully.
-                    return None
-        bad.append(bad_row)
+    output = _output_fact(program)
+
+    def fact(slot: int, local: Any, halted: bool) -> Any:
+        name = output(slot, local, halted)
+        if name is _SKIP or name is _SUSPECT:
+            return name
+        try:
+            in_range = 1 <= name <= n
+        except Exception:  # noqa: BLE001 - the invariant re-raises it
+            return _SUSPECT
+        return name if in_range else _SUSPECT
+
     m = program.m
     offs = [
-        (m + slot, facts[slot], bad[slot]) for slot in range(len(facts))
+        (m + slot, row) for slot, row in enumerate(program.add_facts(fact))
     ]
 
     def suspect(packed: PackedState) -> bool:
         names: List[Any] = []
-        for off, row, bad_row in offs:
-            si = packed[off]
-            v = row[si]
-            if v is _SKIP:
-                continue
-            if bad_row[si]:
+        for off, row in offs:
+            name = row[packed[off]]
+            if name is _SUSPECT:
                 return True
-            names.append(v)
+            if name is not _SKIP:
+                names.append(name)
         return len(names) > 1 and len(set(names)) != len(names)
 
     return suspect
@@ -724,12 +512,9 @@ def _compile_suspect(
 ) -> Optional[Callable[[PackedState], bool]]:
     """Suspect function for a known invariant, or None to go generic."""
     from repro.runtime import exploration as _exploration
+    from repro.verify.runner import _no_invariant
 
-    try:
-        from repro.verify.runner import _no_invariant
-    except ImportError:  # pragma: no cover - verify layer always ships
-        _no_invariant = None
-    if _no_invariant is not None and invariant is _no_invariant:
+    if invariant is _no_invariant:
         return lambda packed: False
     if invariant is _exploration.mutual_exclusion_invariant:
         return _mutex_suspect(program)
@@ -766,22 +551,16 @@ def compile_checker(
     the returned violation string — or raised exception — is exactly
     the interpreted one.
     """
-    suspect = _compile_suspect(invariant, program)
+    suspect = _compile_suspect(invariant, program) or _always_suspect
     instance = program.instance
     unpack = program.unpack
-    if suspect is None:
 
-        def generic(packed: PackedState) -> Optional[str]:
-            return invariant(StateView(instance, unpack(packed)))
-
-        return generic
-
-    def fast(packed: PackedState) -> Optional[str]:
+    def check(packed: PackedState) -> Optional[str]:
         if suspect(packed):
             return invariant(StateView(instance, unpack(packed)))
         return None
 
-    return fast
+    return check
 
 
 # -- the backend -------------------------------------------------------
@@ -795,28 +574,71 @@ def _unwind(link: Any) -> Tuple[ProcessId, ...]:
     return tuple(reversed(path))
 
 
+def _trivial_key(
+    program: CompiledProgram,
+) -> Callable[[PackedState], Tuple[bytes, bytes]]:
+    """The trivial canonicalizer's ``(key, raw)`` over packed states.
+
+    Its raw key is the content digest of the concrete state, so raw
+    equality is state equality — and the packed ids (injective over
+    everything interned), packed four bytes an id into one ``bytes``,
+    are an equivalent key at a fraction of a tuple's or a digest key's
+    memory.
+    """
+    pack = struct.Struct(f"<{program.m + len(program.slots)}I").pack
+
+    def key_of(packed: PackedState) -> Tuple[bytes, bytes]:
+        key = pack(*packed)
+        return key, key
+
+    return key_of
+
+
+def _digest_key(
+    program: CompiledProgram,
+) -> Callable[[PackedState], Tuple[bytes, bytes]]:
+    """``canonicalizer.key_of_state`` over a packed state.
+
+    Byte-identical by construction: every digest in the tables went
+    through the canonicalizer's own intern/digest path.
+    """
+    digests = program.digests
+    assert digests is not None
+    m = program.m
+    value_raw = digests.value_raw
+    slot_raws = list(enumerate(digests.slot_raw))
+    candidates = digests.candidates
+
+    def key_of(packed: PackedState) -> Tuple[bytes, bytes]:
+        parts = [value_raw[packed[i]] for i in range(m)]
+        for s, slot_raw in slot_raws:
+            parts.append(slot_raw[packed[m + s]])
+        raw = b"".join(parts)
+        if not candidates:
+            return raw, raw
+        best = raw
+        for cand in candidates:
+            cparts = [cand.value_digest[packed[phys]] for phys in cand.source_phys]
+            for s in cand.source_slot:
+                cparts.append(cand.slot_digest[s][packed[m + s]])
+            joined = b"".join(cparts)
+            if joined < best:
+                best = joined
+        return best, raw
+
+    return key_of
+
+
 class CompiledBackend:
     """Serial DFS over packed states; bit-identical to ``SerialBackend``.
 
-    Compilation failures of any kind fall back to the interpreted
-    backend wholesale, so ``run`` is total over every task the serial
-    backend accepts.  ``result.kernel`` records which kernel actually
-    ran ("compiled" only when the table-driven walk did the work).
+    The default exploration engine.  ``result.interned_locals`` and
+    ``result.interned_values`` report how many local states (per slot)
+    and register values the walk interned.
     """
 
     name = "compiled"
-    workers = 1
     progress_interval = 8192  # power of two, matches SerialBackend
-
-    def __init__(
-        self,
-        domain_hint: Sequence[Any] = (),
-        max_local_states: int = 65536,
-        max_domain: int = 4096,
-    ) -> None:
-        self.domain_hint = tuple(domain_hint)
-        self.max_local_states = max_local_states
-        self.max_domain = max_domain
 
     def run(
         self,
@@ -825,38 +647,19 @@ class CompiledBackend:
     ) -> ExplorationResult:
         trivial = isinstance(task.canonicalizer, TrivialCanonicalizer)
         if task.retain_graph and not trivial:
-            # explore() rejects this combination; a hand-built task gets
-            # the serial behaviour verbatim.
-            return SerialBackend().run(task, telemetry=telemetry)
-        try:
-            program = compile_program(
-                task.instance,
-                task.initial,
-                domain_hint=self.domain_hint,
-                max_local_states=self.max_local_states,
-                max_domain=self.max_domain,
+            raise ConfigurationError(
+                "retain_graph=True requires the trivial canonicalizer"
             )
-            suspect = _compile_suspect(task.invariant, program)
-            if trivial:
-                tables = (
-                    task.canonicalizer.packed_digest_tables(
-                        program.values,
-                        program.states,
-                        program.halted,
-                        program.crashed,
-                    )
-                    if task.retain_graph
-                    else None
-                )
-            else:
-                tables = task.canonicalizer.packed_digest_tables(
-                    program.values,
-                    program.states,
-                    program.halted,
-                    program.crashed,
-                )
-        except Exception:
-            return SerialBackend().run(task, telemetry=telemetry)
+        # Trivial dedup keys on the packed ids; the canonicalizer's
+        # digests are only needed for a symmetry quotient, or for a
+        # retained graph, whose node keys are the raw digests.
+        digests = task.retain_graph or not trivial
+        program = CompiledProgram(
+            task.instance,
+            task.initial,
+            canonicalizer=task.canonicalizer if digests else None,
+        )
+        suspect = _compile_suspect(task.invariant, program) or _always_suspect
         invariant = task.invariant
         instance = task.instance
         unpack = program.unpack
@@ -864,266 +667,59 @@ class CompiledBackend:
         def slow(packed: PackedState) -> Optional[str]:
             return invariant(StateView(instance, unpack(packed)))
 
-        if suspect is None:
-            # Unknown invariant: evaluate it on every state.
-            suspect = _always_suspect
-        if trivial:
-            if len(program.slots) == 2 and not task.retain_graph:
-                result = self._run_trivial_two(
-                    task, program, suspect, slow, telemetry
-                )
-            else:
-                result = self._run_trivial(
-                    task, program, suspect, slow, tables, telemetry
-                )
-        else:
-            result = self._run_general(
-                task, program, suspect, slow, tables, telemetry
-            )
-        result.kernel = "compiled"
+        result = self._walk(
+            task,
+            program,
+            suspect,
+            slow,
+            _digest_key(program) if digests else _trivial_key(program),
+            telemetry,
+        )
+        result.interned_locals = tuple(len(states) for states in program.states)
+        result.interned_values = len(program.values)
         return result
 
-    # The two walks below mirror SerialBackend.run statement for
-    # statement; every counter update, telemetry emission, budget check
-    # and recorder call happens at the same point in the same order.
+    # The walk below mirrors SerialBackend.run statement for statement;
+    # every counter update, telemetry emission, budget check and
+    # recorder call happens at the same point in the same order.
     # Deviations are all of the form "equivalent predicate over packed
-    # states" and are individually justified in comments.
+    # states" and are individually justified in comments.  Kind OP_NEW
+    # and a read entry < 0 take the slow branch (step_packed), which
+    # fills the tables.
 
-    def _run_trivial_two(
+    def _walk(
         self,
         task: ExplorationTask,
         program: CompiledProgram,
         suspect: Callable[[PackedState], bool],
         slow: Callable[[PackedState], Optional[str]],
+        key_of: Callable[[PackedState], Tuple[Any, Any]],
         telemetry: TelemetrySink,
     ) -> ExplorationResult:
-        """The two-process trivial walk with the per-pid loop unrolled.
+        """The packed DFS, parameterised by its ``(key, raw)`` function.
 
-        Semantically the n=2 instantiation of :meth:`_run_trivial`
-        without a recorder — every check happens at the same point in
-        the same order — but with the expansion list, tuple unpacking
-        and double subscripts flattened into straight-line code.  All
-        shipped verify/bench instances are two-process, so this is the
-        throughput-critical loop.
+        ``key_of`` is :func:`_trivial_key` for a trivial walk without a
+        graph, else :func:`_digest_key` — the canonicalizer's own
+        ``(canonical, raw)`` digests, whose raw half is a retained
+        graph's node key.
         """
         max_states = task.max_states
         max_depth = task.max_depth
         emit = telemetry.enabled
         progress_mask = self.progress_interval - 1
-        step_packed = program.step_packed
 
-        (pid_a, s_a, off_a), (pid_b, s_b, off_b) = program.step_order
-        live_a = [
-            not (program.crashed[s_a] or h) for h in program.halted[s_a]
-        ]
-        live_b = [
-            not (program.crashed[s_b] or h) for h in program.halted[s_b]
-        ]
-        kind_a, kind_b = program.kind[s_a], program.kind[s_b]
-        arg_a, arg_b = program.arg[s_a], program.arg[s_b]
-        wval_a, wval_b = program.write_value[s_a], program.write_value[s_b]
-        nxt_a, nxt_b = program.next_state[s_a], program.next_state[s_b]
-        rows_a, rows_b = program.rows[s_a], program.rows[s_b]
-        # A _PairSuspect's table lookups inline into the loop; any other
-        # suspect is called.
-        cs_a = cs_b = None
-        if isinstance(suspect, _PairSuspect):
-            cs_a = suspect.tables[s_a]
-            cs_b = suspect.tables[s_b]
-
-        initial = program.initial_packed
-        visited = {initial}
-        stack: List[Tuple[PackedState, int, Any]] = [(initial, 0, None)]
-        result = ExplorationResult(
-            complete=True,
-            states_explored=0,
-            events_executed=0,
-            max_depth_reached=0,
-            group_size=task.canonicalizer.group_order,
-        )
-        states_explored = 0
-        events_executed = 0
-        max_depth_reached = 0
-        started = time.perf_counter()
-
-        while stack:
-            state, depth, link = stack.pop()
-            states_explored += 1
-            if depth > max_depth_reached:
-                max_depth_reached = depth
-            if emit and not (states_explored & progress_mask):
-                telemetry.gauge("explore.visited", len(visited))
-                telemetry.gauge("explore.frontier", len(stack))
-                telemetry.event(
-                    "explore.progress",
-                    states=states_explored,
-                    frontier=len(stack),
-                    visited=len(visited),
-                    orbit_hits=result.orbits_collapsed,
-                    depth=depth,
-                )
-            si_a = state[off_a]
-            si_b = state[off_b]
-            if (
-                (cs_a[si_a] and cs_b[si_b])
-                if cs_a is not None
-                else suspect(state)
-            ):
-                violation = slow(state)
-                if violation is not None:
-                    result.violation = violation
-                    result.violation_schedule = _unwind(link)
-                    result.truncated_by = "violation"
-                    break
-            enabled_a = live_a[si_a]
-            enabled_b = live_b[si_b]
-            if not (enabled_a or enabled_b):
-                # All settled (see _run_trivial); stuck never ticks.
-                continue
-            if depth >= max_depth:
-                result.truncated_by = "max_depth"
-                continue
-            # Per pid: child is None ⟺ the step is inert (child ==
-            # state) — decidable from table indices alone (packing is
-            # injective), so inert steps never build a child tuple.
-            if enabled_a:
-                child = None
-                k = kind_a[si_a]
-                if k == OP_READ:
-                    nsi = rows_a[si_a][state[arg_a[si_a]]]
-                    if nsi >= 0:
-                        if nsi != si_a:
-                            child = (
-                                state[:off_a] + (nsi,) + state[off_a + 1 :]
-                            )
-                    else:
-                        child = step_packed(state, s_a)
-                        if child == state:
-                            child = None
-                elif k == OP_WRITE:
-                    phys = arg_a[si_a]
-                    nsi = nxt_a[si_a]
-                    if nsi != si_a or state[phys] != wval_a[si_a]:
-                        child = (
-                            state[:phys]
-                            + (wval_a[si_a],)
-                            + state[phys + 1 : off_a]
-                            + (nsi,)
-                            + state[off_a + 1 :]
-                        )
-                elif k == OP_LOCAL:
-                    nsi = nxt_a[si_a]
-                    if nsi != si_a:
-                        child = (
-                            state[:off_a] + (nsi,) + state[off_a + 1 :]
-                        )
-                else:
-                    child = step_packed(state, s_a)
-                    if child == state:
-                        child = None
-                if child is None:
-                    events_executed += 2
-                elif child in visited:
-                    events_executed += 1
-                else:
-                    events_executed += 1
-                    if len(visited) >= max_states:
-                        result.truncated_by = "max_states"
-                        break
-                    visited.add(child)
-                    stack.append((child, depth + 1, (link, pid_a)))
-            if enabled_b:
-                child = None
-                k = kind_b[si_b]
-                if k == OP_READ:
-                    nsi = rows_b[si_b][state[arg_b[si_b]]]
-                    if nsi >= 0:
-                        if nsi != si_b:
-                            child = (
-                                state[:off_b] + (nsi,) + state[off_b + 1 :]
-                            )
-                    else:
-                        child = step_packed(state, s_b)
-                        if child == state:
-                            child = None
-                elif k == OP_WRITE:
-                    phys = arg_b[si_b]
-                    nsi = nxt_b[si_b]
-                    if nsi != si_b or state[phys] != wval_b[si_b]:
-                        child = (
-                            state[:phys]
-                            + (wval_b[si_b],)
-                            + state[phys + 1 : off_b]
-                            + (nsi,)
-                            + state[off_b + 1 :]
-                        )
-                elif k == OP_LOCAL:
-                    nsi = nxt_b[si_b]
-                    if nsi != si_b:
-                        child = (
-                            state[:off_b] + (nsi,) + state[off_b + 1 :]
-                        )
-                else:
-                    child = step_packed(state, s_b)
-                    if child == state:
-                        child = None
-                if child is None:
-                    events_executed += 2
-                elif child in visited:
-                    events_executed += 1
-                else:
-                    events_executed += 1
-                    if len(visited) >= max_states:
-                        result.truncated_by = "max_states"
-                        break
-                    visited.add(child)
-                    stack.append((child, depth + 1, (link, pid_b)))
-
-        result.states_explored = states_explored
-        result.events_executed = events_executed
-        result.max_depth_reached = max_depth_reached
-        result.complete = result.truncated_by is None
-        result.wall_seconds = time.perf_counter() - started
-        result.peak_visited = len(visited)
-        if emit:
-            telemetry.gauge("explore.visited", len(visited))
-            telemetry.gauge("explore.frontier", len(stack))
-            telemetry.count("explore.events", result.events_executed)
-            telemetry.count("explore.orbit_hits", result.orbits_collapsed)
-        return result
-
-    def _run_trivial(
-        self,
-        task: ExplorationTask,
-        program: CompiledProgram,
-        suspect: Callable[[PackedState], bool],
-        slow: Callable[[PackedState], Optional[str]],
-        tables: Any,
-        telemetry: TelemetrySink,
-    ) -> ExplorationResult:
-        max_states = task.max_states
-        max_depth = task.max_depth
-        emit = telemetry.enabled
-        progress_mask = self.progress_interval - 1
-
-        m = program.m
         halted = program.halted
         crashed = program.crashed
         step_packed = program.step_packed
-        nslots = len(program.slots)
         # One bundle per pid in scheduling order: every per-slot table
         # the expansion needs, pre-indexed so the hot loop does single
         # subscripts only.  live[s][si] ⟺ the slot can step.
-        live = [
-            [not (crashed[s] or h) for h in halted[s]]
-            for s in range(nslots)
-        ]
         step_tabs = tuple(
             (
                 pid,
                 s,
                 off,
-                live[s],
+                program.live[s],
                 program.kind[s],
                 program.arg[s],
                 program.write_value[s],
@@ -1132,231 +728,16 @@ class CompiledBackend:
             )
             for pid, s, off in program.step_order
         )
-
-        recorder = None
-        state_raw = b""
-        raw_cache: Dict[PackedState, bytes] = {}
-
-        def raw_of(packed: PackedState) -> bytes:
-            raw = raw_cache.get(packed)
-            if raw is None:
-                parts = [value_raw[packed[i]] for i in range(m)]
-                for s in range(nslots):
-                    parts.append(slot_raw[s][packed[m + s]])
-                raw = b"".join(parts)
-                raw_cache[packed] = raw
-            return raw
-
-        initial = program.initial_packed
-        if task.retain_graph:
-            from repro.verify.graph import GraphRecorder
-
-            value_raw = tables.value_raw
-            slot_raw = tables.slot_raw
-            recorder = GraphRecorder(raw_of(initial), task.initial)
-
-        # Under the trivial canonicalizer a raw key is the content
-        # digest of the concrete state, so raw equality is state
-        # equality — packed tuples (injective over the closure) are an
-        # equivalent, cheaper dedup key.
-        visited = {initial}
-        stack: List[Tuple[PackedState, int, Any]] = [(initial, 0, None)]
-        result = ExplorationResult(
-            complete=True,
-            states_explored=0,
-            events_executed=0,
-            max_depth_reached=0,
-            group_size=task.canonicalizer.group_order,
-        )
-        states_explored = 0
-        events_executed = 0
-        max_depth_reached = 0
-        started = time.perf_counter()
-
-        while stack:
-            state, depth, link = stack.pop()
-            states_explored += 1
-            if depth > max_depth_reached:
-                max_depth_reached = depth
-            if emit and not (states_explored & progress_mask):
-                telemetry.gauge("explore.visited", len(visited))
-                telemetry.gauge("explore.frontier", len(stack))
-                telemetry.event(
-                    "explore.progress",
-                    states=states_explored,
-                    frontier=len(stack),
-                    visited=len(visited),
-                    orbit_hits=result.orbits_collapsed,
-                    depth=depth,
-                )
-            if suspect(state):
-                violation = slow(state)
-                if violation is not None:
-                    result.violation = violation
-                    result.violation_schedule = _unwind(link)
-                    result.truncated_by = "violation"
-                    break
-            expand = [t for t in step_tabs if t[3][state[t[2]]]]
-            if not expand:
-                # No enabled pid ⟺ every slot halted or crashed ⟺
-                # all_settled, so the serial stuck counter can never
-                # tick here.
-                if recorder is not None:
-                    recorder.mark_expanded(raw_of(state))
-                continue
-            if depth >= max_depth:
-                result.truncated_by = "max_depth"
-                continue
-            if recorder is not None:
-                state_raw = raw_of(state)
-                recorder.mark_expanded(state_raw)
-            budget_exhausted = False
-            for (
-                pid,
-                s,
-                off,
-                _live_row,
-                kind_row,
-                arg_row,
-                wval_row,
-                nxt_row,
-                rows_row,
-            ) in expand:
-                si = state[off]
-                k = kind_row[si]
-                if k == OP_READ:
-                    nsi = rows_row[si][state[arg_row[si]]]
-                    child = (
-                        state[:off] + (nsi,) + state[off + 1 :]
-                        if nsi >= 0
-                        else step_packed(state, s)
-                    )
-                elif k == OP_WRITE:
-                    phys = arg_row[si]
-                    child = (
-                        state[:phys]
-                        + (wval_row[si],)
-                        + state[phys + 1 : off]
-                        + (nxt_row[si],)
-                        + state[off + 1 :]
-                    )
-                elif k == OP_LOCAL:
-                    child = state[:off] + (nxt_row[si],) + state[off + 1 :]
-                else:
-                    child = step_packed(state, s)
-                if child == state:
-                    # Inert self-loop.  Serial steps once (1 event),
-                    # enters the acceleration loop, steps once more (a
-                    # deterministic repeat), sees the local repeat and
-                    # gives up: exactly 2 events, then a self-edge.
-                    events_executed += 2
-                    if recorder is not None:
-                        recorder.add_edge(state_raw, pid, state_raw)
-                    continue
-                events_executed += 1
-                if recorder is not None:
-                    child_raw = raw_of(child)
-                    recorder.add_edge(state_raw, pid, child_raw)
-                    if child_raw not in recorder.nodes:
-                        recorder.add_node(child_raw, program.unpack(child))
-                if child in visited:
-                    continue
-                if len(visited) >= max_states:
-                    result.truncated_by = "max_states"
-                    budget_exhausted = True
-                    break
-                visited.add(child)
-                stack.append((child, depth + 1, (link, pid)))
-            if budget_exhausted:
-                break
-
-        result.states_explored = states_explored
-        result.events_executed = events_executed
-        result.max_depth_reached = max_depth_reached
-        result.complete = result.truncated_by is None
-        result.wall_seconds = time.perf_counter() - started
-        result.peak_visited = len(visited)
-        if recorder is not None:
-            result.graph = recorder.finish(result.complete)
-        if emit:
-            telemetry.gauge("explore.visited", len(visited))
-            telemetry.gauge("explore.frontier", len(stack))
-            telemetry.count("explore.events", result.events_executed)
-            telemetry.count("explore.orbit_hits", result.orbits_collapsed)
-        return result
-
-    def _run_general(
-        self,
-        task: ExplorationTask,
-        program: CompiledProgram,
-        suspect: Callable[[PackedState], bool],
-        slow: Callable[[PackedState], Optional[str]],
-        tables: Any,
-        telemetry: TelemetrySink,
-    ) -> ExplorationResult:
-        canonicalizer = task.canonicalizer
-        max_states = task.max_states
-        max_depth = task.max_depth
-        emit = telemetry.enabled
-        progress_mask = self.progress_interval - 1
-
-        m = program.m
-        halted = program.halted
-        crashed = program.crashed
-        step_packed = program.step_packed
-        nslots = len(program.slots)
-        live = [
-            [not (crashed[s] or h) for h in halted[s]]
-            for s in range(nslots)
-        ]
-        step_tabs = tuple(
-            (
-                pid,
-                s,
-                off,
-                live[s],
-                program.kind[s],
-                program.arg[s],
-                program.write_value[s],
-                program.next_state[s],
-                program.rows[s],
-            )
-            for pid, s, off in program.step_order
-        )
-
-        value_raw = tables.value_raw
-        slot_raw = tables.slot_raw
-        candidates = tables.candidates
-
-        def key_of(packed: PackedState) -> Tuple[bytes, bytes]:
-            """``canonicalizer.key_of_state`` over a packed state.
-
-            Byte-identical by construction: every digest in the tables
-            went through the canonicalizer's own intern/digest path.
-            """
-            parts = [value_raw[packed[i]] for i in range(m)]
-            for s in range(nslots):
-                parts.append(slot_raw[s][packed[m + s]])
-            raw = b"".join(parts)
-            if not candidates:
-                return raw, raw
-            best = raw
-            for cand in candidates:
-                cparts = [
-                    cand.value_digest[packed[phys]]
-                    for phys in cand.source_phys
-                ]
-                for s in cand.source_slot:
-                    cparts.append(cand.slot_digest[s][packed[m + s]])
-                joined = b"".join(cparts)
-                if joined < best:
-                    best = joined
-            return best, raw
 
         initial = program.initial_packed
         initial_key, initial_raw = key_of(initial)
-        visited: Dict[bytes, bytes] = {initial_key: initial_raw}
-        stack: List[Tuple[PackedState, int, Any, bytes]] = [
+        recorder = None
+        if task.retain_graph:
+            from repro.verify.graph import GraphRecorder
+
+            recorder = GraphRecorder(initial_raw, task.initial)
+        visited: Dict[Any, Any] = {initial_key: initial_raw}
+        stack: List[Tuple[PackedState, int, Any, Any]] = [
             (initial, 0, None, initial_raw)
         ]
         result = ExplorationResult(
@@ -1364,7 +745,7 @@ class CompiledBackend:
             states_explored=0,
             events_executed=0,
             max_depth_reached=0,
-            group_size=canonicalizer.group_order,
+            group_size=task.canonicalizer.group_order,
         )
         states_explored = 0
         events_executed = 0
@@ -1397,11 +778,17 @@ class CompiledBackend:
                     break
             expand = [t for t in step_tabs if t[3][state[t[2]]]]
             if not expand:
-                # No enabled pid ⟺ all_settled: stuck never ticks.
+                # No enabled pid ⟺ every slot halted or crashed ⟺
+                # all_settled, so the serial stuck counter can never
+                # tick here.
+                if recorder is not None:
+                    recorder.mark_expanded(state_raw)
                 continue
             if depth >= max_depth:
                 result.truncated_by = "max_depth"
                 continue
+            if recorder is not None:
+                recorder.mark_expanded(state_raw)
             budget_exhausted = False
             for (
                 pid,
@@ -1442,8 +829,10 @@ class CompiledBackend:
                 if raw == state_raw:
                     # Inert acceleration, exactly as serial: keep
                     # stepping this pid while it stays inert, watching
-                    # its local state (⟺ its packed index — interning
-                    # is by value equality) for a repeat.
+                    # its local state (⟺ its packed id — interning is
+                    # by value equality) for a repeat.  Under the
+                    # trivial key the first repeat ends the loop: an
+                    # inert step there is a self-loop (2 events).
                     seen_locals = {child[off]}
                     while raw == state_raw and not (
                         halted[s][child[off]] or crashed[s]
@@ -1458,7 +847,13 @@ class CompiledBackend:
                                 break
                             seen_locals.add(local)
                     if raw == state_raw:
+                        if recorder is not None:
+                            recorder.add_edge(state_raw, pid, state_raw)
                         continue
+                if recorder is not None:
+                    recorder.add_edge(state_raw, pid, raw)
+                    if raw not in recorder.nodes:
+                        recorder.add_node(raw, program.unpack(child))
                 claimed = visited.get(key)
                 if claimed is not None:
                     if claimed != raw:
@@ -1480,6 +875,8 @@ class CompiledBackend:
         result.complete = result.truncated_by is None
         result.wall_seconds = time.perf_counter() - started
         result.peak_visited = len(visited)
+        if recorder is not None:
+            result.graph = recorder.finish(result.complete)
         if emit:
             telemetry.gauge("explore.visited", len(visited))
             telemetry.gauge("explore.frontier", len(stack))

@@ -28,7 +28,7 @@ directly on a fresh system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.errors import ConfigurationError, ExplorationLimitExceeded
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
@@ -65,9 +65,7 @@ class ExplorationResult:
     * ``complete`` / ``truncated_by`` — whether the walk reached a
       fixpoint.  **Invariant:** ``complete ⟺ truncated_by is None``,
       always.  A search stopped early — by a budget (``"max_states"``,
-      ``"max_depth"``), by the parallel backend's fixed-capacity
-      visited table (``"visited_table_full"``), or by a found
-      violation (``"violation"``) — has
+      ``"max_depth"``) or by a found violation (``"violation"``) — has
       explored a strict under-approximation of the reachable space, so
       its ``complete`` is False even though its verdict may already be
       final.
@@ -99,10 +97,8 @@ class ExplorationResult:
     #: waiting) cannot be silently under-explored.
     stuck_states: int = 0
     #: What stopped the search before it exhausted the reachable states:
-    #: ``"max_states"``, ``"max_depth"``, ``"visited_table_full"`` (the
-    #: parallel backend's fixed-capacity shared-memory visited table
-    #: overflowed — see repro.runtime.visited), ``"violation"``, or
-    #: ``None`` (fixpoint reached — the search is complete).
+    #: ``"max_states"``, ``"max_depth"``, ``"violation"``, or ``None``
+    #: (fixpoint reached — the search is complete).
     truncated_by: Optional[str] = None
     #: Successor encounters whose state was new but whose symmetry orbit
     #: was already visited — the work the quotient saved.  Always 0 under
@@ -116,18 +112,15 @@ class ExplorationResult:
     #: Final size of the visited table (canonical keys), the walk's
     #: peak memory driver.
     peak_visited: int = 0
-    #: Name of the backend that ran the walk
-    #: (``"serial"``/``"parallel"``/``"compiled"``).
-    backend: str = "serial"
-    #: Worker processes the backend used (1 for serial).
-    workers: int = 1
-    #: Which step kernel actually executed the walk: ``"interpreted"``
-    #: (the ``step_value`` interpreter) or ``"compiled"`` (the
-    #: table-compiled packed-state kernel).  A ``CompiledBackend`` that
-    #: overflowed its compilation envelope and fell back to the
-    #: interpreter reports ``backend="compiled"`` but
-    #: ``kernel="interpreted"``.
-    kernel: str = "interpreted"
+    #: Name of the backend that ran the walk (``"compiled"`` for the
+    #: default packed walker, ``"serial"`` for the interpreter oracle).
+    backend: str = "compiled"
+    #: Local states the packed walker interned, per slot (empty for the
+    #: interpreter oracle).  After a complete trivial-dedup walk these
+    #: are exactly the local states occurring in the visited set.
+    interned_locals: Tuple[int, ...] = ()
+    #: Register values the packed walker interned (0 for the oracle).
+    interned_values: int = 0
     #: The retained :class:`~repro.verify.graph.StateGraph` when the
     #: walk ran with ``retain_graph=True`` (else ``None``).  On complete
     #: runs the graph is byte-identical across backends; liveness
@@ -176,10 +169,9 @@ def explore(
     max_depth: int = 10_000,
     raise_on_truncation: bool = False,
     canonicalizer: Optional[Canonicalizer] = None,
-    backend: Optional[Union[str, "ExplorationBackend"]] = None,
+    backend: Optional["ExplorationBackend"] = None,
     *,
     reduction: Optional[str] = None,
-    kernel: Optional[str] = None,
     telemetry: Optional[TelemetrySink] = None,
     footprints: bool = True,
     max_group: int = 720,
@@ -232,34 +224,14 @@ def explore(
         engines this way).  Must have been built for this ``system``'s
         scheduler.
     backend:
-        The :class:`~repro.runtime.backends.ExplorationBackend` that
-        runs the walk — an instance, or the string ``"serial"`` /
-        ``"parallel"`` (resolved via
-        :func:`~repro.runtime.backends.resolve_backend`).  Defaults to
-        :class:`~repro.runtime.backends.SerialBackend` — the historical
-        depth-first semantics, bit-identical counters included.  A
-        :class:`~repro.runtime.backends.ParallelBackend` runs the
-        batched packed-state core instead: worker processes steal
-        chunks of packed states from a shared deque and dedup through
-        one shared-memory visited table, and a canonical post-order
-        merge keeps complete-run results (retained
-        ``StateGraph.to_bytes()`` included) bit-identical to the
-        serial walk (see docs/EXPLORATION.md for exactly which
-        counters may differ on budget-truncated walks).
-    kernel:
-        Step-kernel selector: ``"interpreted"`` (the default — the
-        ``step_value`` interpreter) or ``"compiled"`` (the
-        table-compiled packed-state kernel,
-        :class:`~repro.runtime.compiled.CompiledBackend` — bit-identical
-        results at ~10× the serial throughput on the shipped automata).
-        ``"compiled"`` requires the serial backend (the default); it is
-        a drop-in replacement for it, so combining it with
-        ``backend="parallel"`` raises
-        :class:`~repro.errors.ConfigurationError`.  Instances whose
-        local-state space or register value domain cannot be enumerated
-        fall back to the interpreter automatically —
-        :attr:`ExplorationResult.kernel` records which kernel actually
-        ran.
+        The :class:`~repro.runtime.backends.ExplorationBackend` instance
+        that runs the walk.  Defaults to the packed walker,
+        :class:`~repro.runtime.compiled.CompiledBackend`: a depth-first
+        walk over lazily interned integer states whose results —
+        verdict, counters, violation schedule, retained
+        ``StateGraph.to_bytes()`` — are bit-identical to the
+        interpreter's.  Pass :class:`~repro.runtime.backends.SerialBackend`
+        to run the interpreter itself, the differential oracle.
     telemetry:
         A :class:`~repro.obs.telemetry.TelemetrySink` receiving phase
         timers (canonicalizer build, walk), visited/frontier gauges and
@@ -272,8 +244,7 @@ def explore(
         ``reduction="symmetry"``; ignored (and unvalidated) otherwise.
     request:
         A :class:`~repro.request.RunRequest` carrying the execution
-        fields (``kernel``, ``backend``, ``workers``, ``max_states``,
-        ``telemetry``) as one value — the unified spelling shared with
+        fields (``backend``, ``max_states``, ``telemetry``) as one value — the unified spelling shared with
         ``verify_instance``/``sweep_problem``/``run_farm``/``run_fuzz``.
         Request fields win over the keyword defaults; a keyword
         explicitly contradicting a set request field raises
@@ -295,20 +266,13 @@ def explore(
     """
     # Imported here, not at module top: backends imports
     # ExplorationResult from this module.
-    from repro.runtime.backends import (
-        ExplorationTask,
-        SerialBackend,
-        resolve_backend,
-    )
+    from repro.runtime.backends import ExplorationTask
     from repro.runtime.kernel import StepInstance
 
     if request is not None:
-        kernel = request.merged("kernel", kernel)
         backend = request.merged("backend", backend)
         max_states = request.merged("max_states", max_states, default=500_000)
         telemetry = request.merged("telemetry", telemetry)
-        if isinstance(backend, str) and request.workers is not None:
-            backend = resolve_backend(backend, workers=request.workers)
     if telemetry is None:
         telemetry = NULL_TELEMETRY
     scheduler = system.scheduler
@@ -339,23 +303,14 @@ def explore(
             "graph feeds (see repro.verify.graph)"
         )
     if backend is None:
-        backend = SerialBackend()
-    elif isinstance(backend, str):
-        backend = resolve_backend(backend)
-    if kernel not in (None, "interpreted", "compiled"):
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; expected 'interpreted' or 'compiled'"
-        )
-    if kernel == "compiled":
+        # Imported here: the packed walker imports this module.
         from repro.runtime.compiled import CompiledBackend
 
-        if isinstance(backend, SerialBackend):
-            backend = CompiledBackend()
-        elif not isinstance(backend, CompiledBackend):
-            raise ConfigurationError(
-                "kernel='compiled' is a drop-in replacement for the "
-                f"serial backend; got backend {backend.name!r}"
-            )
+        backend = CompiledBackend()
+    elif isinstance(backend, str):
+        raise ConfigurationError(
+            f"backend must be an ExplorationBackend instance, got {backend!r}"
+        )
 
     task = ExplorationTask(
         instance=StepInstance.from_system(system),
@@ -370,19 +325,24 @@ def explore(
         telemetry.gauge("explore.group_size", canonicalizer.group_order)
         telemetry.event(
             "explore.start",
-            backend=backend.name,
-            workers=backend.workers,
+            engine=backend.name,
+            reduction="none" if isinstance(
+                canonicalizer, TrivialCanonicalizer
+            ) else "symmetry",
             max_states=max_states,
             max_depth=max_depth,
         )
     with telemetry.phase("explore.walk"):
         result = backend.run(task, telemetry=telemetry)
     result.backend = backend.name
-    result.workers = backend.workers
     if telemetry.enabled:
         telemetry.gauge("explore.states", result.states_explored)
         telemetry.gauge("explore.peak_visited", result.peak_visited)
         telemetry.gauge("explore.orbit_hits", result.orbits_collapsed)
+        for slot, count in enumerate(result.interned_locals):
+            telemetry.gauge(f"explore.interned_locals.{slot}", count)
+        if result.interned_locals:
+            telemetry.gauge("explore.interned_values", result.interned_values)
         if result.graph is not None:
             telemetry.gauge("explore.retained_edges", result.graph.edge_count)
         telemetry.event(
@@ -394,9 +354,7 @@ def explore(
             events=result.events_executed,
             truncated_by=result.truncated_by,
         )
-    if raise_on_truncation and result.truncated_by in (
-        "max_states", "max_depth", "visited_table_full"
-    ):
+    if raise_on_truncation and result.truncated_by in ("max_states", "max_depth"):
         raise ExplorationLimitExceeded(
             f"exploration truncated by {result.truncated_by}; "
             f"{result.states_explored} states visited"
@@ -465,8 +423,7 @@ class _ConjoinedInvariant:
     """Conjunction of invariants; reports the first violation among them.
 
     A class, not a closure, so conjoined invariants are picklable and
-    survive the trip to parallel-backend workers under any
-    ``multiprocessing`` start method.
+    the packed walker can see through them to their members.
     """
 
     __slots__ = ("invariants",)

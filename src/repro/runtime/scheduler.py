@@ -35,7 +35,7 @@ from repro.runtime.kernel import GlobalState, execute_via_view
 from repro.runtime.ops import ReadOp, WriteOp
 from repro.types import ProcessId
 
-__all__ = ["GlobalState", "ProcessRuntime", "Scheduler"]
+__all__ = ["ProcessRuntime", "Scheduler"]
 
 
 @dataclass
@@ -53,11 +53,6 @@ class ProcessRuntime:
     def enabled(self) -> bool:
         """Whether the process can take a step."""
         return not self.halted and not self.crashed
-
-
-# GlobalState — the captured-global-state value tuple — now lives in
-# :mod:`repro.runtime.kernel` next to the pure transition function that
-# consumes it; it is re-exported here for backward compatibility.
 
 
 class Scheduler:

@@ -26,13 +26,12 @@ Soundness constraints (enforced at the ``explore()`` entrance):
   strict under-approximation, so :class:`StateGraph` records
   ``complete`` and the checkers refuse incomplete graphs.
 
-Determinism: on complete runs the serial DFS and the parallel
-work-stealing walk visit the same states and expand each exactly once,
-recording the same edges in the same per-node order (the instance's
-scheduler pid order), so :meth:`StateGraph.to_bytes` — which sorts
-nodes by key — produces byte-identical serialisations from both
-backends.  The differential tests in ``tests/verify/test_graph.py``
-pin this.
+Determinism: on complete runs the packed walker and the interpreter
+oracle visit the same states and expand each exactly once, recording
+the same edges in the same per-node order (the instance's scheduler pid
+order), so :meth:`StateGraph.to_bytes` — which sorts nodes by key —
+produces byte-identical serialisations from both backends.  The
+differential tests in ``tests/verify/test_graph.py`` pin this.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ One :func:`verify_instance` call is the whole pipeline for a single
    (the spec's pinned naming included — mutants pin the adversarial
    naming their counterexample needs);
 2. exhaustively explore with the safety invariant and
-   ``retain_graph=True`` (trivial canonicalizer, serial or parallel
-   backend — the retained graph is byte-identical either way);
+   ``retain_graph=True`` (trivial canonicalizer, on the packed walker
+   unless the request passes a backend instance — the retained graph
+   is byte-identical either way);
 3. run every declared liveness property's checker
    (:data:`~repro.verify.liveness.LIVENESS_CHECKERS`) over the graph.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import re
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
@@ -40,16 +40,11 @@ from repro.runtime.exploration import ExplorationResult, explore
 from repro.runtime.kernel import StepInstance
 from repro.verify.liveness import LIVENESS_CHECKERS, LivenessVerdict
 
-#: Sentinel distinguishing "keyword not passed" from an explicit None,
-#: so the deprecated execution keywords warn only when actually used.
-_UNSET: Any = object()
-
-
 def _no_invariant(system: Any) -> Optional[str]:
     """Stand-in safety invariant for specs that declare none.
 
-    A module-level function (not a lambda) so the parallel backend can
-    pickle it to worker processes.
+    A module-level function (not a lambda) so the packed walker can
+    recognise it and skip the check altogether.
     """
     return None
 
@@ -125,63 +120,34 @@ class VerificationReport:
 def verify_instance(
     spec: Optional[ProblemSpec] = None,
     instance: Optional[ProblemInstance] = None,
-    backend: Any = _UNSET,
-    telemetry: Any = _UNSET,
-    max_states: Any = _UNSET,
-    kernel: Any = _UNSET,
     *,
     request: Optional[RunRequest] = None,
 ) -> VerificationReport:
     """Exhaustively verify one registry instance (see module docstring).
 
-    Execution choices ride on a :class:`~repro.request.RunRequest`:
-    ``verify_instance(spec, inst, request=RunRequest(kernel="compiled"))``
-    — or omit ``spec``/``instance`` entirely and let the request's
+    Execution choices ride on a :class:`~repro.request.RunRequest`
+    (``backend``, ``max_states``, ``telemetry``) — or omit
+    ``spec``/``instance`` entirely and let the request's
     ``problem``/``instance``/``params`` resolve through the registry.
-    The pre-request ``backend=``/``telemetry=``/``max_states=``/
-    ``kernel=`` keywords still work but emit ``DeprecationWarning``
-    (removed in PR 11).
-
-    ``kernel="compiled"`` runs the graph-retaining walk on the
-    table-compiled step kernel (:mod:`repro.runtime.compiled`), seeded
-    with the spec's declared value domain when it has one; the retained
-    graph is byte-identical to the interpreted walk's, so every liveness
-    verdict is too.
+    The graph-retaining walk runs on the packed walker
+    (:mod:`repro.runtime.compiled`) unless ``request.backend`` is an
+    exploration-backend instance such as the
+    :class:`~repro.runtime.backends.SerialBackend` oracle; the retained
+    graph is byte-identical either way, so every liveness verdict is
+    too.
 
     Raises :class:`~repro.errors.VerificationError` when the instance
     declares liveness properties but the exploration could not retain a
     complete graph (state budget truncation) — an incomplete graph
     supports no liveness verdict.
     """
-    from repro.request import deprecated_keywords_message
-
-    legacy = {
-        name: value
-        for name, value in (
-            ("backend", backend),
-            ("kernel", kernel),
-            ("max_states", max_states),
-            ("telemetry", telemetry),
-        )
-        if value is not _UNSET
-    }
-    if legacy:
-        warnings.warn(
-            deprecated_keywords_message("verify_instance", sorted(legacy)),
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    backend = legacy.get("backend")
-    kernel = legacy.get("kernel")
-    max_states = legacy.get("max_states")
-    telemetry = legacy.get("telemetry")
-    workers: Optional[int] = None
+    backend: Any = None
+    max_states: Optional[int] = None
+    telemetry: Optional[TelemetrySink] = None
     if request is not None:
-        backend = request.merged("backend", backend)
-        kernel = request.merged("kernel", kernel)
-        max_states = request.merged("max_states", max_states)
-        telemetry = request.merged("telemetry", telemetry)
-        workers = request.workers
+        backend = request.backend
+        max_states = request.max_states
+        telemetry = request.telemetry
         if spec is None:
             spec, instance = request.resolve()
         elif instance is None and (
@@ -200,20 +166,6 @@ def verify_instance(
     system = spec.system(instance)
     invariant = spec.invariant if spec.invariant is not None else _no_invariant
     budget = max_states if max_states is not None else instance.verify_max_states
-    if kernel == "compiled" and backend in (None, "serial"):
-        from repro.runtime.compiled import CompiledBackend
-
-        domain = (
-            spec.value_domain(instance.params_dict())
-            if spec.value_domain is not None
-            else ()
-        )
-        backend = CompiledBackend(domain_hint=domain)
-        kernel = None  # already resolved into the backend
-    if isinstance(backend, str):
-        from repro.runtime.backends import resolve_backend
-
-        backend = resolve_backend(backend, workers=workers)
     result = explore(
         system,
         invariant,
@@ -222,7 +174,6 @@ def verify_instance(
         # the walk is only ever truncated by max_states, never by depth.
         max_depth=budget,
         backend=backend,
-        kernel=kernel,
         telemetry=telemetry,
         retain_graph=True,
     )
@@ -303,11 +254,10 @@ def verify_manifest(
             type(naming_obj).__name__ if naming_obj is not None else "identity"
         ),
         backend=exploration.backend,
-        workers=exploration.workers,
+        workers=1,
         outcome={
             "verdict": "verified" if report.ok else "failed",
             "instance": instance.label,
-            "kernel": exploration.kernel,
             "states": exploration.states_explored,
             "retained_edges": report.retained_edges,
             "explore_seconds": report.explore_seconds,

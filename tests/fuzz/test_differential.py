@@ -1,9 +1,10 @@
-"""Kernel-differential pinning: at a fixed seed the fuzzer produces
+"""Stepper-differential pinning: at a fixed seed the fuzzer produces
 byte-identical reports — schedules, violations, shrunk witnesses,
-coverage counts — under the compiled and interpreted kernels.
+coverage counts — on the default packed stepper and on the interpreter
+oracle.
 
-This holds because packing is a bijection on the reachable closure
-(state revisits happen at identical schedule positions) and both
+This holds because packing is a bijection on every state the run has
+seen (state revisits happen at identical schedule positions) and both
 steppers derive identical :class:`~repro.fuzz.strategies.FuzzContext`
 snapshots (same enabled order, same pending physical registers), so the
 strategies' RNG streams never diverge.
@@ -13,38 +14,34 @@ import json
 
 import pytest
 
-from repro.fuzz.engine import run_fuzz
+from repro.fuzz.engine import _InterpretedStepper, run_fuzz
 from repro.request import RunRequest
 
-KERNEL_KEYS = ("kernel", "effective_kernel")
 
-
-def report_dict(instance, kernel, episodes):
+def report_json(instance, episodes, **oracle):
     report = run_fuzz(
-        RunRequest(
-            problem="figure-1-mutex",
-            instance=instance,
-            seed=7,
-            kernel=kernel if kernel == "compiled" else None,
-        ),
+        RunRequest(problem="figure-1-mutex", instance=instance, seed=7),
         episodes=episodes,
+        **oracle,
     )
-    document = report.to_dict()
-    assert document.pop("kernel") == (kernel if kernel == "compiled" else "interpreted")
-    assert document.pop("effective_kernel") == kernel
-    return document
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 @pytest.mark.parametrize("instance, episodes, expect_found", [
     ("figure-1-mutex-even-m", 8, True),
     ("figure-1-mutex(m=3)", 8, False),
 ])
-def test_compiled_and_interpreted_reports_byte_identical(
+def test_walker_and_oracle_reports_byte_identical(
     instance, episodes, expect_found
 ):
-    interpreted = report_dict(instance, "interpreted", episodes)
-    compiled = report_dict(instance, "compiled", episodes)
-    assert bool(interpreted["violations"]) == expect_found
-    assert json.dumps(interpreted, sort_keys=True) == json.dumps(
-        compiled, sort_keys=True
+    walker = report_json(instance, episodes)
+    oracle = report_json(
+        instance, episodes, stepper_class=_InterpretedStepper
     )
+    assert bool(json.loads(walker)["violations"]) == expect_found
+    assert walker == oracle
+
+
+def test_reports_name_no_kernel():
+    document = json.loads(report_json("figure-1-mutex(m=3)", 1))
+    assert "kernel" not in document and "effective_kernel" not in document

@@ -115,13 +115,13 @@ class TestBudgets:
 
 
 class TestConfiguration:
-    def test_parallel_backend_rejected(self):
+    def test_process_backend_rejected(self):
         with pytest.raises(ConfigurationError, match="serial per episode"):
             run_fuzz(
                 RunRequest(
                     problem="figure-1-mutex",
                     instance="figure-1-mutex(m=3)",
-                    backend="parallel",
+                    backend="process",
                 )
             )
 

@@ -39,7 +39,6 @@ def fuzz_config(episodes=EPISODES, per_cell=PER_CELL, max_attempts=1):
             "seed": 7,
             "episodes": episodes,
             "max_steps": 64,
-            "kernel": "interpreted",
             "max_states": None,
             "families": None,
             "episodes_per_cell": per_cell,

@@ -37,6 +37,23 @@ class TestRenderReport:
         table = render_report([make_manifest()])
         assert "explore.walk 100%" in table
 
+    def test_interned_column_reads_the_explore_gauges(self):
+        from repro.core.mutex import AnonymousMutex
+        from repro.runtime.exploration import (
+            explore,
+            mutual_exclusion_invariant,
+        )
+        from repro.runtime.system import System
+
+        tel = Telemetry()
+        system = System(
+            AnonymousMutex(m=3, cs_visits=1), (101, 103), record_trace=False
+        )
+        explore(system, mutual_exclusion_invariant, telemetry=tel)
+        table = render_report([make_manifest(telemetry=tel.snapshot())])
+        assert "interned" in table
+        assert "39+39 / 3" in table
+
     def test_missing_outcome_numbers_render_blank(self):
         table = render_report(
             [make_manifest(outcome={"verdict": "ok"}, telemetry=None)]

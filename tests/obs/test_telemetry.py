@@ -119,7 +119,8 @@ class TestExplorationIsTelemetryInvariant:
             "complete", "states_explored", "events_executed",
             "max_depth_reached", "violation", "violation_schedule",
             "stuck_states", "truncated_by", "orbits_collapsed",
-            "group_size", "peak_visited", "backend", "workers",
+            "group_size", "peak_visited", "backend", "interned_locals",
+            "interned_values",
         ):
             assert getattr(observed, field_name) == getattr(silent, field_name), (
                 field_name
@@ -140,9 +141,15 @@ class TestExplorationIsTelemetryInvariant:
         assert gauges["explore.states"] == result.states_explored
         assert gauges["explore.peak_visited"] == result.peak_visited
         assert gauges["explore.group_size"] == result.group_size
+        for slot, count in enumerate(result.interned_locals):
+            assert gauges[f"explore.interned_locals.{slot}"] == count
+        assert gauges["explore.interned_values"] == result.interned_values
         names = [name for _, name, _ in tel.events()]
         assert names[0] == "explore.start"
         assert names[-1] == "explore.done"
+        start = list(tel.events())[0][2]
+        assert start["engine"] == "compiled"
+        assert start["reduction"] == "symmetry"
         done = list(tel.events())[-1][2]
         assert done["verdict"] == "exhaustive-ok"
         assert done["states"] == result.states_explored

@@ -2,13 +2,14 @@
 
 :class:`SerialBackend` is the reference semantics (the seed DFS over
 value states; its bit-parity with the historical explorer is pinned by
-``test_exploration_differential.py``, which now runs through it).  The
-tests here pin the contract of :class:`ParallelBackend` against it —
-verdict-identical on every shipped instance and every lint mutant,
-identical state/stuck counts on complete runs, replayable violation
-schedules — plus the budget-truncation accounting, the inert self-loop
-acceleration's livelock break, and the executor pair the sweep harness
-fans out over.
+``test_exploration_differential.py``, which now runs through it) and
+the differential oracle of the default packed walker
+(:class:`~repro.runtime.compiled.CompiledBackend`, whose bit-identity
+is pinned by ``test_compiled.py``).  The tests here pin, for both, the
+budget-truncation accounting, the inert self-loop acceleration's
+livelock break and the untouched system; for the walker, that a spawned
+process reproduces its results and that its violation schedules
+replay; plus the executor pair the sweep harness fans out over.
 """
 
 import multiprocessing
@@ -23,13 +24,12 @@ from repro.memory.naming import IdentityNaming
 from repro.runtime.adversary import RandomAdversary, RoundRobinAdversary
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
 from repro.runtime.backends import (
-    ParallelBackend,
     ProcessExecutor,
     SerialBackend,
     SerialExecutor,
-    resolve_backend,
 )
 from repro.runtime.canonical import build_canonicalizer
+from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import (
     ExplorationResult,
     explore,
@@ -41,9 +41,7 @@ from repro.runtime.system import System
 from repro.spec.mutex_spec import MutualExclusionChecker
 
 from tests.conftest import pids
-from tests.lint.mutants import ALL_MUTANTS, HOOKED_MUTANTS, MutantAlgorithm
 from tests.runtime.test_exploration_differential import (
-    SHIPPED_INSTANCES,
     VIOLATING_INSTANCES,
     null_invariant,
 )
@@ -53,141 +51,59 @@ def mutex_system(m=3, record_trace=False):
     return System(AnonymousMutex(m=m, cs_visits=1), pids(2), record_trace=record_trace)
 
 
-class TestResolveBackend:
-    def test_serial_spec(self):
-        backend = resolve_backend("serial")
-        assert isinstance(backend, SerialBackend)
-        assert (backend.name, backend.workers) == ("serial", 1)
-
-    def test_parallel_spec_honours_workers(self):
-        backend = resolve_backend("parallel", workers=3)
-        assert isinstance(backend, ParallelBackend)
-        assert (backend.name, backend.workers) == ("parallel", 3)
-
-    def test_unknown_spec_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="unknown exploration backend"):
-            resolve_backend("quantum")
-
-    def test_nonpositive_workers_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ParallelBackend(workers=0)
+class TestExecutorConfiguration:
+    def test_nonpositive_executor_workers_are_rejected(self):
         with pytest.raises(ConfigurationError):
             ProcessExecutor(workers=0)
 
-    def test_explore_defaults_to_serial(self):
-        result = explore(mutex_system(), mutual_exclusion_invariant)
-        assert (result.backend, result.workers) == ("serial", 1)
+
+def _walk_outcome(reduction):
+    """A default-walker run on mutex m=3, reduced to comparable values
+    (module level, so a spawned worker can import it)."""
+    from tests.runtime.test_compiled import fingerprint
+
+    system = mutex_system()
+    if reduction == "symmetry":
+        result = explore(system, mutual_exclusion_invariant, reduction="symmetry")
+        return fingerprint(result), result.group_size, None
+    result = explore(system, mutual_exclusion_invariant, retain_graph=True)
+    return fingerprint(result), result.group_size, result.graph.to_bytes()
 
 
-class TestParallelMatchesSerial:
-    """The tentpole differential: same verdicts, same complete-run counts."""
+class TestDefaultWalkerAcrossProcesses:
+    def test_spawn_context_reproduces_in_process_results(self):
+        # A spawned worker runs a fresh interpreter with its own hash
+        # seed and interns ids in its own order of first sight: equal
+        # results pin that nothing observable depends on either.
+        reductions = ["trivial", "symmetry"]
+        local = [_walk_outcome(reduction) for reduction in reductions]
+        spawned = ProcessExecutor(
+            workers=2, mp_context=multiprocessing.get_context("spawn")
+        ).map(_walk_outcome, reductions)
+        assert spawned == local
+        assert local[1][1] >= 2  # the symmetry group actually engaged
 
-    @pytest.mark.parametrize("factory, invariant", SHIPPED_INSTANCES)
-    def test_shipped_instances_agree(self, factory, invariant):
-        serial = explore(factory(), invariant, reduction="symmetry")
-        parallel = explore(
-            factory(), invariant, reduction="symmetry",
-            backend=ParallelBackend(workers=2),
-        )
-        assert (parallel.backend, parallel.workers) == ("parallel", 2)
-        assert serial.complete and parallel.complete
-        assert serial.ok and parallel.ok
-        # Complete runs visit the same quotient, so the counts that
-        # describe *the state space* coincide exactly.  Work counters
-        # do not: orbits_collapsed counts duplicate encounters (which
-        # the parallel worker-side filter deliberately short-circuits)
-        # and events_executed depends on which footprint-equal
-        # representative claimed each key first (encounter order), so
-        # acceleration loops may take a few more or fewer micro-steps.
-        assert parallel.states_explored == serial.states_explored
-        assert parallel.stuck_states == serial.stuck_states
-        assert parallel.group_size == serial.group_size
-        assert parallel.peak_visited == serial.peak_visited
 
+class TestDefaultWalkerViolations:
     @pytest.mark.parametrize("factory, invariant", VIOLATING_INSTANCES)
     def test_violations_agree_and_replay(self, factory, invariant):
-        serial = explore(factory(), invariant, reduction="symmetry")
-        parallel = explore(
-            factory(), invariant, reduction="symmetry",
-            backend=ParallelBackend(workers=2),
-        )
-        assert not serial.ok and not parallel.ok
-        assert serial.truncated_by == "violation"
-        assert parallel.truncated_by == "violation"
-        assert parallel.violation_schedule is not None
-        fresh = factory()
-        replay_schedule(fresh, parallel.violation_schedule)
-        assert invariant(fresh) is not None
-
-    @pytest.mark.parametrize(
-        "mutant_cls",
-        [cls for cls, _pass in ALL_MUTANTS if cls not in HOOKED_MUTANTS],
-        ids=[
-            cls.__name__
-            for cls, _pass in ALL_MUTANTS
-            if cls not in HOOKED_MUTANTS
-        ],
-    )
-    def test_mutants_agree(self, mutant_cls):
-        def build():
-            return System(
-                MutantAlgorithm(mutant_cls), pids(2), record_trace=False
-            )
-
-        budgets = dict(max_states=2_000, max_depth=200)
-        outcomes = []
-        for backend in (SerialBackend(), ParallelBackend(workers=2)):
-            system = build()
-            try:
-                result = explore(
-                    system,
-                    null_invariant,
-                    canonicalizer=build_canonicalizer(system),
-                    backend=backend,
-                    **budgets,
-                )
-            except Exception as error:  # noqa: BLE001 — compared below
-                outcomes.append(("raised", type(error).__name__))
-            else:
-                # Budget-truncated runs cut different under-
-                # approximations (DFS spine vs BFS ball): compare the
-                # verdict always, the space-shaped counts only when
-                # both walks reached the fixpoint.
-                outcome = [result.ok, result.complete]
-                if result.complete:
-                    outcome += [
-                        result.states_explored,
-                        result.events_executed,
-                        result.stuck_states,
-                    ]
-                outcomes.append(outcome)
-        assert outcomes[0] == outcomes[1]
-
-    def test_spawn_context_reproduces_fork_results(self):
-        # Workers under ``spawn`` run a fresh interpreter with its own
-        # hash seed: identical results pin the content-addressed keys'
-        # process independence end to end.
         serial = explore(
-            mutex_system(), mutual_exclusion_invariant, reduction="symmetry"
+            factory(), invariant, reduction="symmetry", backend=SerialBackend()
         )
-        spawned = explore(
-            mutex_system(),
-            mutual_exclusion_invariant,
-            reduction="symmetry",
-            backend=ParallelBackend(
-                workers=2,
-                chunk_size=1,  # force work distribution across workers
-                mp_context=multiprocessing.get_context("spawn"),
-            ),
-        )
-        assert spawned.complete and spawned.ok
-        assert spawned.states_explored == serial.states_explored
-        assert spawned.stuck_states == serial.stuck_states
+        walker = explore(factory(), invariant, reduction="symmetry")
+        assert walker.backend == "compiled"
+        assert not serial.ok and not walker.ok
+        assert serial.truncated_by == "violation"
+        assert walker.truncated_by == "violation"
+        assert walker.violation_schedule is not None
+        fresh = factory()
+        replay_schedule(fresh, walker.violation_schedule)
+        assert invariant(fresh) is not None
 
 
 BACKENDS = [
     pytest.param(lambda: SerialBackend(), id="serial"),
-    pytest.param(lambda: ParallelBackend(workers=2), id="parallel"),
+    pytest.param(lambda: CompiledBackend(), id="compiled"),
 ]
 
 

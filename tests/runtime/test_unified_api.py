@@ -89,11 +89,19 @@ class TestUnifiedExplore:
                 mutex_system(), mutual_exclusion_invariant, reduction="magic"
             )
 
-    def test_backend_accepts_a_string(self):
+    def test_backend_takes_an_instance(self):
+        from repro.runtime.backends import SerialBackend
+
         result = explore(
-            mutex_system(), mutual_exclusion_invariant, backend="serial"
+            mutex_system(), mutual_exclusion_invariant, backend=SerialBackend()
         )
         assert result.backend == "serial"
+
+    def test_backend_names_are_gone(self):
+        with pytest.raises(ConfigurationError, match="instance"):
+            explore(
+                mutex_system(), mutual_exclusion_invariant, backend="parallel"
+            )
 
     def test_deprecated_spelling_is_gone(self):
         import repro.runtime.exploration as exploration

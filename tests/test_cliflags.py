@@ -1,8 +1,8 @@
 """The execution-flag matrix, pinned.
 
 Every command that executes registry work either *accepts* one of the
-five shared execution flags (``--kernel``, ``--backend``, ``--workers``,
-``--seed``, ``--max-states``) or *explicitly rejects* it with
+four shared execution flags (``--backend``, ``--workers``, ``--seed``,
+``--max-states``) or *explicitly rejects* it with
 :func:`repro.cliflags.rejection_message`'s uniform text — silently
 ignoring an execution flag is the failure mode ruled out here.  The
 matrix lives in ``src/repro/cliflags.py``'s docstring; this module is
@@ -44,11 +44,29 @@ class TestRejectionMessage:
 
 
 class TestVerifyRow:
-    def test_accepts_kernel_backend_workers_max_states(self, capsys):
+    def test_accepts_max_states(self, capsys):
         text = help_text("verify", capsys)
-        for flag in ("--kernel", "--backend", "--workers", "--max-states"):
-            assert flag in text
-        assert "--seed" not in text  # rejected flags are suppressed
+        assert "--max-states" in text
+        for flag in ("--backend", "--workers", "--seed"):
+            assert flag not in text  # rejected flags are suppressed
+
+    @pytest.mark.parametrize("flag", ["--backend", "--workers"])
+    def test_rejects_backend_and_workers_with_pinned_text(self, flag, capsys):
+        err = run_expecting_usage_error(
+            ["verify", "--problem", "figure-1-mutex", flag, "2"], capsys
+        )
+        assert rejection_message(
+            flag, "verify",
+            "every walk runs on the one in-process packed walker; "
+            "there is no backend to choose",
+        ) in err
+
+    def test_kernel_flag_is_gone(self, capsys):
+        err = run_expecting_usage_error(
+            ["verify", "--problem", "figure-1-mutex", "--kernel", "compiled"],
+            capsys,
+        )
+        assert "unrecognized arguments: --kernel" in err
 
     def test_rejects_seed_with_pinned_text(self, capsys):
         err = run_expecting_usage_error(
@@ -66,10 +84,6 @@ class TestSweepRow:
         assert "--workers" in help_text("sweep", capsys)
 
     @pytest.mark.parametrize("flag, reason", [
-        ("--kernel",
-         "grid cells replay live System runs through the interpreted "
-         "scheduler; the compiled kernel serves the exhaustive walk "
-         "(`repro verify --kernel compiled`)"),
         ("--backend",
          "the farm schedules cells across claiming processes; pick "
          "parallelism with --workers"),
@@ -88,19 +102,19 @@ class TestSweepRow:
 
 
 class TestFuzzRow:
-    def test_accepts_all_five(self, capsys):
+    def test_accepts_workers_seed_max_states(self, capsys):
         text = help_text("fuzz", capsys)
-        for flag in ("--kernel", "--backend", "--workers", "--seed",
-                     "--max-states"):
+        for flag in ("--workers", "--seed", "--max-states"):
             assert flag in text
+        assert "--backend" not in text
 
-    def test_backend_parallel_rejected_with_pinned_text(self, capsys):
+    def test_backend_rejected_with_pinned_text(self, capsys):
         err = run_expecting_usage_error(
             ["fuzz", "--problem", "figure-1-mutex",
-             "--backend", "parallel"], capsys
+             "--backend", "serial"], capsys
         )
         assert rejection_message(
-            "--backend parallel", "fuzz",
+            "--backend", "fuzz",
             "episodes are serial by construction; shard them across "
             "farm cells with --workers",
         ) in err
@@ -113,10 +127,9 @@ class TestWorkersValidation:
     mistake, so the CLI and API layers never disagree."""
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--problem", "figure-1-mutex"],
         ["sweep", "--problem", "figure-1-mutex"],
         ["fuzz", "--problem", "figure-1-mutex"],
-    ], ids=["verify", "sweep", "fuzz"])
+    ], ids=["sweep", "fuzz"])
     @pytest.mark.parametrize("value, shown", [
         ("0", "0"), ("-2", "-2"), ("many", "'many'"),
     ])
@@ -127,31 +140,30 @@ class TestWorkersValidation:
             f"got {shown}" in err
         )
 
-    @pytest.mark.parametrize("value, shown", [("0", "0"), ("-3", "-3")])
-    def test_rejected_by_bench(self, value, shown):
-        result = subprocess.run(
-            [sys.executable, str(REPO / "benchmarks" / "run_experiments.py"),
-             "--bench", "--quick", "--backend", "parallel",
-             "--workers", value],
-            capture_output=True, text=True,
-            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert result.returncode == 2
-        assert (
-            f"argument --workers: workers must be a positive int, "
-            f"got {shown}" in result.stderr
-        )
-
-
 class TestBenchRow:
-    def test_accepts_all_five(self):
-        result = subprocess.run(
+    @staticmethod
+    def bench(*argv):
+        return subprocess.run(
             [sys.executable, str(REPO / "benchmarks" / "run_experiments.py"),
-             "--help"],
+             *argv],
             capture_output=True, text=True,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
         )
+
+    def test_accepts_seed_and_max_states(self):
+        result = self.bench("--help")
         assert result.returncode == 0
-        for flag in ("--kernel", "--backend", "--workers", "--seed",
-                     "--max-states"):
+        for flag in ("--seed", "--max-states"):
             assert flag in result.stdout
+        for flag in ("--kernel", "--backend", "--workers"):
+            assert flag not in result.stdout
+
+    @pytest.mark.parametrize("flag", ["--backend", "--workers"])
+    def test_rejects_backend_and_workers_with_pinned_text(self, flag):
+        result = self.bench("--bench", "--quick", flag, "2")
+        assert result.returncode == 2
+        assert rejection_message(
+            flag, "bench",
+            "the bench times the one in-process walker against its "
+            "SerialBackend oracle; there is no backend to choose",
+        ) in result.stderr

@@ -81,21 +81,17 @@ class TestExplorationBench:
         problems = harness.check_baseline(doc(771, verdict="bounded-ok"), baseline)
         assert problems and "verdict changed" in problems[0]
 
-    def test_quick_bench_writes_schema_v8(self, harness, tmp_path, capsys):
+    def test_quick_bench_writes_schema_v9(self, harness, tmp_path, capsys):
         out = tmp_path / "bench.json"
         import json
 
-        code = harness.main([
-            "--bench", "--quick", "--bench-out", str(out),
-            "--kernel", "compiled",
-        ])
+        code = harness.main(["--bench", "--quick", "--bench-out", str(out)])
         capsys.readouterr()
         assert code == 0
         document = json.loads(out.read_text())
-        assert document["schema"] == "repro.bench_explore/v8"
-        # v8: degraded_host is stamped at the top level so speedup
-        # gates can decide skip-vs-fail without reading every record.
-        assert document["degraded_host"] == (document["host_cpus"] == 1)
+        assert document["schema"] == "repro.bench_explore/v9"
+        for dropped in ("backend", "kernel", "workers", "degraded_host"):
+            assert dropped not in document
         # v6: the sweep-farm micro-benchmark block
         sweep_block = document["sweep"]
         assert sweep_block["grid_cells"] > 0
@@ -123,9 +119,6 @@ class TestExplorationBench:
             assert row["steps"] > 0
             assert row["distinct_states"] > 0
         assert document["rng_seed"] == 5
-        assert document["backend"] == "serial"
-        assert document["kernel"] == "compiled"
-        assert document["workers"] == 1
         assert document["host_cpus"] >= 1
         assert document["telemetry"] == {
             "enabled": False, "dir": None, "manifests": [],
@@ -135,18 +128,15 @@ class TestExplorationBench:
             assert (
                 record["canonical"]["states"] <= record["seed"]["states"]
             )
-            # v5: the compiled block repeats both walks on the
-            # table-compiled kernel; state counts are asserted equal by
-            # the harness before anything is recorded.
-            block = record["compiled"]
-            assert block["kernel"] == "compiled"
+            # v9: the oracle block repeats the trivial-dedup walk on
+            # the SerialBackend interpreter; counts are asserted equal
+            # by the harness before anything is recorded.
+            block = record["oracle"]
             assert block["states"] == record["seed"]["states"]
+            assert block["events"] == record["seed"]["events"]
             assert block["verdict"] == record["seed"]["verdict"]
-            speedup = block["speedup_vs_interpreted"]
+            speedup = record["speedup_vs_oracle"]
             assert speedup is None or speedup > 0
-            nested = block["canonical"]
-            assert nested["states"] == record["canonical"]["states"]
-            assert nested["kernel"] == "compiled"
         # v4 adds a graph-retention/verification block to every instance
         # whose registry entry declares liveness properties.
         verified = [r for r in document["instances"] if "verify" in r]
@@ -177,13 +167,14 @@ class TestExplorationBench:
         document = json.loads(out.read_text())
         block = document["telemetry"]
         assert block["enabled"] and block["dir"] == str(telemetry_dir)
-        # One seed + one canonical manifest per quick instance.
-        assert len(block["manifests"]) == 2 * len(document["instances"])
+        # One seed, one canonical and one oracle manifest per quick
+        # instance.
+        assert len(block["manifests"]) == 3 * len(document["instances"])
         manifests = load_manifests(telemetry_dir)
         assert len(manifests) == len(block["manifests"])
         assert {m.kind for m in manifests} == {"exploration"}
         for record in document["instances"]:
-            for engine in ("seed", "canonical"):
+            for engine in ("seed", "canonical", "oracle"):
                 matches = [
                     m for m in manifests
                     if m.algorithm == record["instance"]

@@ -1,21 +1,20 @@
-"""RunRequest: validation, registry resolution, deprecation shims.
+"""RunRequest: validation, registry resolution, and the removed shims.
 
-The deprecation-message tests pin the exact warning text — the removal
-PR (PR 11) greps for these strings, so they must not drift.
+The pre-request execution keywords of ``verify_instance`` and
+``sweep_problem`` (and their ``DeprecationWarning`` text) are gone; the
+tests at the bottom pin that they stay gone.
 """
 
+import inspect
 import warnings
 
 import pytest
 
+import repro.request
 from repro.analysis.experiments import sweep_problem
 from repro.errors import ConfigurationError
 from repro.problems import get_problem
-from repro.request import (
-    RunRequest,
-    deprecated_keywords_message,
-    resolve_target,
-)
+from repro.request import RunRequest, resolve_target
 from repro.verify.runner import verify_instance
 
 
@@ -24,36 +23,23 @@ from repro.verify.runner import verify_instance
 class TestRunRequestValidation:
     def test_defaults_pin_nothing(self):
         request = RunRequest()
-        assert request.kernel is None
         assert request.backend is None
         assert request.params_dict() is None
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ConfigurationError) as err:
-            RunRequest(kernel="jit")
-        assert str(err.value) == (
-            "unknown kernel 'jit'; expected 'interpreted' or 'compiled'"
-        )
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigurationError) as err:
             RunRequest(backend="cluster")
         assert str(err.value) == (
-            "unknown backend 'cluster'; "
-            "expected 'serial', 'parallel' or 'process'"
+            "unknown backend 'cluster'; expected 'serial' or 'process'"
         )
 
-    def test_compiled_kernel_rejects_parallel_backend(self):
-        with pytest.raises(ConfigurationError) as err:
-            RunRequest(kernel="compiled", backend="parallel")
-        assert str(err.value) == (
-            "kernel='compiled' is a drop-in replacement for the serial "
-            "backend; got backend 'parallel'"
-        )
+    def test_parallel_backend_is_gone(self):
+        with pytest.raises(ConfigurationError):
+            RunRequest(backend="parallel")
 
-    def test_compiled_kernel_accepts_serial_backend(self):
-        request = RunRequest(kernel="compiled", backend="serial")
-        assert request.kernel == "compiled"
+    def test_kernel_field_is_gone(self):
+        with pytest.raises(TypeError):
+            RunRequest(kernel="compiled")
 
     @pytest.mark.parametrize("field", ["workers", "max_steps", "max_states"])
     def test_positive_int_budgets(self, field):
@@ -73,7 +59,7 @@ class TestRunRequestValidation:
         assert request.params_dict() == {"m": 5, "n": 3}
 
     def test_replace_revalidates(self):
-        request = RunRequest(kernel="compiled")
+        request = RunRequest(workers=2)
         with pytest.raises(ConfigurationError):
             request.replace(backend="parallel")
 
@@ -138,25 +124,31 @@ class TestResolveTarget:
         assert inst.label == spec.instances[0].label
 
 
-# -- deprecation shims -------------------------------------------------
+# -- the removed shims ------------------------------------------------
 
-class TestDeprecationShims:
-    def test_message_template(self):
-        assert deprecated_keywords_message("f", ["a", "b"]) == (
-            "f(a=/b=...) is deprecated; pass a RunRequest via request= "
-            "(the keyword form will be removed in PR 11)"
-        )
+class TestRemovedShims:
+    def test_message_helper_is_gone(self):
+        assert not hasattr(repro.request, "deprecated_keywords_message")
+        assert "deprecated_keywords_message" not in repro.request.__all__
 
-    def test_verify_instance_keyword_warns_with_pinned_message(self):
+    @pytest.mark.parametrize("keyword", [
+        "backend", "telemetry", "max_states", "kernel",
+    ])
+    def test_verify_instance_keywords_are_gone(self, keyword):
+        assert keyword not in inspect.signature(verify_instance).parameters
         spec = get_problem("figure-1-mutex")
         inst = spec.instance("figure-1-mutex(m=3)")
-        with pytest.warns(DeprecationWarning) as caught:
-            verify_instance(spec, inst, max_states=50_000)
-        assert str(caught[0].message) == (
-            "verify_instance(max_states=...) is deprecated; pass a "
-            "RunRequest via request= "
-            "(the keyword form will be removed in PR 11)"
-        )
+        with pytest.raises(TypeError):
+            verify_instance(spec, inst, **{keyword: None})
+
+    @pytest.mark.parametrize("keyword", ["max_steps", "backend", "telemetry"])
+    def test_sweep_problem_keywords_are_gone(self, keyword):
+        assert keyword not in inspect.signature(sweep_problem).parameters
+
+    def test_scheduler_no_longer_re_exports_global_state(self):
+        from repro.runtime import scheduler
+
+        assert "GlobalState" not in scheduler.__all__
 
     def test_verify_instance_request_path_does_not_warn(self):
         spec = get_problem("figure-1-mutex")
@@ -179,25 +171,6 @@ class TestDeprecationShims:
     def test_verify_instance_without_target_raises(self):
         with pytest.raises(ConfigurationError):
             verify_instance(request=RunRequest(max_states=10))
-
-    def test_sweep_problem_keyword_warns_with_pinned_message(self):
-        from repro.memory.naming import IdentityNaming
-        from repro.runtime.adversary import RandomAdversary
-
-        with pytest.warns(DeprecationWarning) as caught:
-            result = sweep_problem(
-                "figure-1-mutex",
-                namings=[IdentityNaming()],
-                adversaries=[RandomAdversary(1)],
-                checkers_factory=lambda: [],
-                max_steps=500,
-            )
-        assert str(caught[0].message) == (
-            "sweep_problem(max_steps=...) is deprecated; pass a "
-            "RunRequest via request= "
-            "(the keyword form will be removed in PR 11)"
-        )
-        assert result.runs == 1
 
     def test_sweep_problem_request_path_does_not_warn(self):
         from repro.memory.naming import IdentityNaming

@@ -1,7 +1,7 @@
 """State-graph retention: determinism, soundness gates, replayability.
 
-The load-bearing claim is byte-identity: on complete runs the serial DFS
-and the parallel BFS retain the *same* :class:`StateGraph` — same nodes,
+The load-bearing claim is byte-identity: on complete runs the default
+packed walker and the interpreter oracle retain the *same* :class:`StateGraph` — same nodes,
 same per-node edge order, identical :meth:`StateGraph.to_bytes` output —
 for every shipped verify-role instance.  Everything downstream
 (deadlock-freedom SCCs, solo-run chain walks, lasso schedules) inherits
@@ -12,7 +12,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.problems import get_problem, instances_with_role
-from repro.runtime.backends import ParallelBackend, SerialBackend
+from repro.runtime.backends import SerialBackend
+from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import explore
 from repro.runtime.kernel import StepInstance, step_value
 from repro.verify.graph import GraphRecorder, StateGraph
@@ -44,17 +45,15 @@ VERIFY_INSTANCES = [
 
 class TestBackendByteIdentity:
     @pytest.mark.parametrize("spec, instance", VERIFY_INSTANCES)
-    def test_serial_and_parallel_graphs_are_byte_identical(
+    def test_walker_and_oracle_graphs_are_byte_identical(
         self, spec, instance
     ):
         _, serial = _explore_graph(spec, instance, SerialBackend())
-        _, parallel = _explore_graph(
-            spec, instance, ParallelBackend(workers=2)
-        )
-        assert serial.graph is not None and parallel.graph is not None
-        assert serial.complete and parallel.complete
+        _, walker = _explore_graph(spec, instance, CompiledBackend())
+        assert serial.graph is not None and walker.graph is not None
+        assert serial.complete and walker.complete
         assert len(serial.graph) == serial.states_explored
-        assert serial.graph.to_bytes() == parallel.graph.to_bytes()
+        assert serial.graph.to_bytes() == walker.graph.to_bytes()
 
 
 class TestRetentionContract:
