@@ -1,19 +1,22 @@
 """Disk-backed StateGraph retention: append-only mmap edge arrays.
 
 A verify-grade sweep cell retains the full labelled successor relation
-of its exploration walk.  In RAM that is a :class:`~repro.verify.graph.StateGraph`
-— two dictionaries whose memory footprint caps how large an instance
-one process lifetime can verify.  This module persists the same
-relation under a farm directory in a fixed-width binary layout that is
-written append-only and read back through ``mmap``, so tens of millions
-of retained edges cost file pages, not heap:
+of its exploration walk.  In RAM that is a
+:class:`~repro.verify.graph.StateGraph` — packed node rows and CSR edge
+arrays indexed by node ordinal, whose size still caps how large an
+instance one process lifetime can verify.  This module persists the
+same relation under a farm directory in a fixed-width binary layout
+that is written append-only and read back through ``mmap``, so tens of
+millions of retained edges cost file pages, not heap:
 
-* ``nodes.bin`` — node keys (the canonicalizer's raw content digests),
-  fixed ``key_len`` bytes each, in first-seen (insertion) order.  A
-  node's position in this file is its *ordinal*.
+* ``nodes.bin`` — node keys (the canonicalizer's raw content digests,
+  :meth:`StateGraph.key`), fixed ``key_len`` bytes each, in first-seen
+  order.  A node's position in this file is its *ordinal* — the same
+  ordinal the in-RAM graph gives it.
 * ``edges.bin`` — one 16-byte record per edge, ``>IIq``:
-  ``(src ordinal, dst ordinal, pid)``, appended in recording order.
-  Edges of one source node are contiguous (the recorder API enforces
+  ``(src ordinal, dst ordinal, pid)``, appended in recording order
+  (the walk's expansion order, ``StateGraph.expansion_order``).
+  Edges of one source node are contiguous (the writer API enforces
   it), so a node's out-edges are a single slice.
 * ``index.bin`` — written once at finalisation, one 17-byte record per
   node in **sorted-key order**, ``>IQIB``: ``(ordinal, first edge
@@ -23,6 +26,8 @@ of retained edges cost file pages, not heap:
 * ``meta.json`` — schema id, key length, counts, completeness flag and
   the initial key.
 
+:func:`write_state_graph` writes a finished in-RAM graph straight from
+its ordinals through :class:`DiskGraphWriter`.
 :meth:`DiskStateGraph.to_bytes` reproduces the in-RAM
 :meth:`StateGraph.to_bytes` framing byte-for-byte (pinned by the
 differential tests in ``tests/farm/test_store.py``), so graph digests
@@ -67,13 +72,13 @@ _INDEX_ENTRY = struct.Struct(">IQIB")
 
 
 class DiskGraphWriter:
-    """Incremental writer mirroring the :class:`GraphRecorder` API.
+    """Incremental writer of one graph store.
 
     ``add_node`` assigns ordinals on first sight and appends the key to
-    ``nodes.bin``; ``add_edge`` appends to ``edges.bin`` and requires
-    one source's edges to arrive contiguously (which both exploration
-    backends and :meth:`StateGraph` iteration guarantee);
-    ``mark_expanded`` distinguishes expanded-but-terminal nodes from
+    ``nodes.bin``; ``add_edge`` appends an edge between two added
+    ordinals to ``edges.bin`` and requires one source's edges to arrive
+    contiguously (which a walk's expansion order guarantees);
+    ``expand`` distinguishes expanded-but-terminal nodes from
     never-expanded frontier nodes on truncated walks.  ``finalize``
     writes the sorted index and metadata — until then the directory is
     an unreadable partial write, which is fine: a killed verify cell is
@@ -97,12 +102,8 @@ class DiskGraphWriter:
         self._edge_count = 0
         self._finalized = False
 
-    def add_node(self, key: bytes, state: Any = None) -> int:
-        """Record a node key (idempotent); returns its ordinal.
-
-        ``state`` is accepted for :class:`GraphRecorder` signature
-        compatibility and ignored — the store keeps keys only.
-        """
+    def add_node(self, key: bytes) -> int:
+        """Record a node key (idempotent); returns its ordinal."""
         ordinal = self._ordinals.get(key)
         if ordinal is not None:
             return ordinal
@@ -116,12 +117,22 @@ class DiskGraphWriter:
         self._nodes.write(key)
         return ordinal
 
-    def mark_expanded(self, src: bytes) -> None:
-        self._expanded.add(self.add_node(src))
+    def _check_ordinal(self, ordinal: int) -> None:
+        if not 0 <= ordinal < len(self._ordinals):
+            raise FarmError(
+                f"node ordinal {ordinal} was never added "
+                f"({len(self._ordinals)} nodes so far)"
+            )
 
-    def add_edge(self, src: bytes, pid: int, dst: bytes) -> None:
-        src_ord = self.add_node(src)
-        dst_ord = self.add_node(dst)
+    def expand(self, src_ord: int) -> None:
+        """Mark node ``src_ord`` expanded (terminal if it gets no edges)."""
+        self._check_ordinal(src_ord)
+        self._expanded.add(src_ord)
+
+    def add_edge(self, src_ord: int, pid: int, dst_ord: int) -> None:
+        """Append the ``pid`` edge ``src_ord -> dst_ord``."""
+        self._check_ordinal(src_ord)
+        self._check_ordinal(dst_ord)
         if src_ord != self._open_src:
             if src_ord in self._edge_spans:
                 raise FarmError(
@@ -173,29 +184,35 @@ def write_state_graph(
 ) -> Dict[str, Any]:
     """Persist an in-RAM :class:`StateGraph` into a store directory.
 
-    Nodes are written in the graph's insertion (visit) order and edges
-    in recorded order, which is exactly what an in-walk recorder would
-    have produced — so the store layout is independent of whether the
-    graph was spooled during the walk or dumped afterwards.
+    Straight from the ordinals: the graph's node ``i`` is the store's
+    ordinal ``i`` (its raw key, :meth:`StateGraph.key`, goes to
+    ``nodes.bin`` in node order), and each expanded node's edges are
+    appended in the graph's ``expansion_order`` — exactly what an
+    in-walk recorder would have produced, so the store layout is
+    independent of whether the graph was spooled during the walk or
+    dumped afterwards.
     """
-    writer = DiskGraphWriter(directory, key_len=len(graph.initial))
-    for key in graph.nodes:
+    keys = [graph.key(node) for node in range(len(graph))]
+    writer = DiskGraphWriter(directory, key_len=len(keys[0]))
+    for key in keys:
         writer.add_node(key)
-    for src, out in graph.edges.items():
-        writer.mark_expanded(src)
-        for pid, dst in out:
-            writer.add_edge(src, pid, dst)
-    return writer.finalize(graph.initial, graph.complete)
+    offsets, pids, dsts = graph.offsets, graph.pids, graph.dsts
+    for src in graph.expansion_order:
+        writer.expand(src)
+        for edge in range(offsets[src], offsets[src + 1]):
+            writer.add_edge(src, pids[edge], dsts[edge])
+    return writer.finalize(keys[0], graph.complete)
 
 
 class DiskStateGraph:
     """Read side of the store: the retained graph over ``mmap`` pages.
 
-    Supports the subset of the :class:`StateGraph` API the liveness
-    analyses and audits read — ``len``, ``successors``, ``iter_nodes``,
-    ``complete``, ``to_bytes`` — without materialising dictionaries.
-    Node *states* are not stored, so analyses needing concrete states
-    (lasso replay) still run against the in-RAM graph.
+    Key-addressed reads — ``len``, ``successors`` and ``expanded`` by
+    node key, ``iter_nodes`` in key order, ``complete``, ``to_bytes``,
+    ``digest`` — without materialising the graph.  Node *states* are
+    not stored, so analyses needing concrete states (the liveness
+    checkers, lasso replay) run against the in-RAM
+    :class:`StateGraph`.
     """
 
     def __init__(self, directory: Union[str, Path]):

@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, FuzzError
 from repro.fuzz.shrink import (
-    CsPredicates,
     cycle_is_df_violation,
     cycle_is_of_violation,
     shrink_lasso,
@@ -59,6 +58,7 @@ from repro.runtime.kernel import (
 )
 from repro.runtime.ops import ReadOp, WriteOp
 from repro.types import ProcessId
+from repro.verify.liveness import CsLabels
 
 __all__ = [
     "FuzzViolation",
@@ -338,10 +338,10 @@ def run_fuzz(
     instance = StepInstance.from_system(system)
     initial = system.scheduler.capture_state()
     stepper = stepper_class(instance, initial, spec.invariant)
-    predicates = CsPredicates(instance)
+    labels = CsLabels(instance)
     liveness_kinds = {prop.kind for prop in spec.liveness}
     theorem_of = {prop.kind: prop.theorem for prop in spec.liveness}
-    check_df = "deadlock-freedom" in liveness_kinds and predicates.supported
+    check_df = "deadlock-freedom" in liveness_kinds and labels.supported
     check_of = "obstruction-freedom" in liveness_kinds
 
     report = FuzzReport(
@@ -431,7 +431,7 @@ def run_fuzz(
             entry = stepper.to_value_state(state)
             hit_kind: Optional[str] = None
             if check_df and cycle_is_df_violation(
-                instance, entry, cycle, predicates
+                instance, entry, cycle, labels
             ):
                 hit_kind = "deadlock-freedom"
             elif check_of and cycle_is_of_violation(instance, entry, cycle):
@@ -445,7 +445,7 @@ def run_fuzz(
                 _certify_lasso(
                     spec, instance_record, instance, initial,
                     family, episode, tuple(schedule[:position]), cycle,
-                    hit_kind, theorem_of[hit_kind], predicates,
+                    hit_kind, theorem_of[hit_kind], labels,
                     shrink=shrink, validate=validate,
                 )
             )
@@ -507,13 +507,13 @@ def _certify_lasso(
     cycle: Schedule,
     kind: str,
     theorem: str,
-    predicates: CsPredicates,
+    labels: CsLabels,
     shrink: bool,
     validate: bool,
 ) -> FuzzViolation:
     if shrink:
         shrunk_prefix, shrunk_cycle = shrink_lasso(
-            instance, initial, prefix, cycle, kind, predicates
+            instance, initial, prefix, cycle, kind, labels
         )
     else:
         shrunk_prefix, shrunk_cycle = prefix, cycle
@@ -542,7 +542,7 @@ def _certify_lasso(
         shrunk_cycle=shrunk_cycle,
     )
     if validate:
-        _validate_lasso(spec, instance_record, instance, violation, predicates)
+        _validate_lasso(spec, instance_record, instance, violation, labels)
     return violation
 
 
@@ -573,7 +573,7 @@ def _validate_lasso(
     instance_record: Any,
     instance: StepInstance,
     violation: FuzzViolation,
-    predicates: CsPredicates,
+    labels: CsLabels,
 ) -> None:
     """Replay prefix and prefix+cycle on fresh systems; the cycle must
     close back to the prefix's end state and the oracle must still hold
@@ -597,7 +597,7 @@ def _validate_lasso(
         raise FuzzError("lasso cycle does not close back to its entry state")
 
     holds = (
-        cycle_is_df_violation(instance, entry, tuple(cycle), predicates)
+        cycle_is_df_violation(instance, entry, tuple(cycle), labels)
         if violation.kind == "deadlock-freedom"
         else cycle_is_of_violation(instance, entry, tuple(cycle))
     )

@@ -8,10 +8,11 @@ holds both halves of that contract:
 
 * the **oracles** — pure :func:`~repro.runtime.kernel.step_value` walks
   that decide whether a schedule (or a prefix+cycle lasso) exhibits a
-  safety violation, a fair non-progress cycle (deadlock-freedom, the
-  conditions of ``repro.verify``'s lasso validator) or a solo livelock
-  (obstruction-freedom).  The engine uses them to confirm candidate
-  hits; the shrinker uses them as the predicate to preserve;
+  safety violation, a fair non-progress cycle (deadlock-freedom:
+  :func:`~repro.verify.liveness.cycle_is_df_violation`, the definition
+  ``repro.verify``'s lasso validator checks, re-exported here) or a
+  solo livelock (obstruction-freedom).  The engine uses them to confirm
+  candidate hits; the shrinker uses them as the predicate to preserve;
 * the **shrinkers** — ddmin-style chunk removal over schedules
   (:func:`shrink_safety`) and a cycle-aware reduction for lassos
   (:func:`shrink_lasso`: collapse the cycle to its minimal repeating
@@ -25,7 +26,7 @@ them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError, SchedulingError
 from repro.runtime.kernel import (
@@ -35,6 +36,7 @@ from repro.runtime.kernel import (
     step_value,
 )
 from repro.types import ProcessId
+from repro.verify.liveness import CsLabels, cycle_is_df_violation, live_pids
 
 __all__ = [
     "replay_values",
@@ -67,92 +69,6 @@ def replay_values(
     return state
 
 
-class CsPredicates:
-    """Memoised ``in_critical_section``/``phase`` over local states.
-
-    The fuzzer's copy of the predicate pair the deadlock-freedom
-    analysis uses (mutex-style automata only); ``supported`` reports
-    whether every automaton exposes both hooks.
-    """
-
-    def __init__(self, instance: StepInstance) -> None:
-        self._instance = instance
-        self.supported = all(
-            hasattr(a, "in_critical_section") and hasattr(a, "phase")
-            for a in instance.automata.values()
-        )
-        self._in_cs: Dict[Tuple[ProcessId, object], bool] = {}
-        self._phase: Dict[Tuple[ProcessId, object], str] = {}
-
-    def in_cs(self, state: GlobalState, pid: ProcessId) -> bool:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._in_cs.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].in_critical_section(local)
-            self._in_cs[key] = cached
-        return cached
-
-    def phase(self, state: GlobalState, pid: ProcessId) -> str:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._phase.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].phase(local)
-            self._phase[key] = cached
-        return cached
-
-
-def _live_pids(
-    instance: StepInstance, state: GlobalState
-) -> Tuple[ProcessId, ...]:
-    locals_part = state[1]
-    return tuple(
-        pid
-        for pid in instance.pid_order
-        if not (
-            locals_part[instance.slot_of[pid]][2]
-            or locals_part[instance.slot_of[pid]][3]
-        )
-    )
-
-
-def cycle_is_df_violation(
-    instance: StepInstance,
-    entry: GlobalState,
-    cycle: Sequence[ProcessId],
-    predicates: CsPredicates,
-) -> bool:
-    """Whether ``cycle`` from ``entry`` is a fair non-progress cycle.
-
-    The exact conditions ``repro.verify``'s lasso validator re-checks:
-    the cycle closes back to ``entry``; every live process steps in it
-    (fairness); no step is a critical-section *entry* (non-progress);
-    and some live process is in its entry section at ``entry`` (someone
-    is actually trying).  Sound: on a deadlock-free instance no cycle
-    can satisfy all four, so the fuzzer cannot report a false positive.
-    """
-    if not cycle or not predicates.supported:
-        return False
-    live = _live_pids(instance, entry)
-    if not live or not set(live) <= set(cycle):
-        return False
-    if not any(predicates.phase(entry, pid) == "entry" for pid in live):
-        return False
-    state = entry
-    for pid in cycle:
-        try:
-            successor = step_value(instance, state, pid)
-        except (SchedulingError, ProtocolError):
-            return False
-        if not predicates.in_cs(state, pid) and predicates.in_cs(
-            successor, pid
-        ):
-            return False  # progress edge: someone got in
-        state = successor
-    return state == entry
-
-
 def cycle_is_of_violation(
     instance: StepInstance,
     entry: GlobalState,
@@ -164,7 +80,7 @@ def cycle_is_of_violation(
     if not cycle or len(set(cycle)) != 1:
         return False
     pid = cycle[0]
-    if pid not in _live_pids(instance, entry):
+    if pid not in live_pids(instance, entry):
         return False
     final, steps, settled = solo_run_value(instance, entry, pid, len(cycle))
     return not settled and steps == len(cycle) and final == entry
@@ -254,7 +170,7 @@ def shrink_lasso(
     prefix: Sequence[ProcessId],
     cycle: Sequence[ProcessId],
     kind: str,
-    predicates: CsPredicates,
+    labels: CsLabels,
 ) -> Tuple[Schedule, Schedule]:
     """Minimise a liveness lasso, preserving its violation ``kind``
     (``"deadlock-freedom"`` or ``"obstruction-freedom"``).
@@ -270,7 +186,7 @@ def shrink_lasso(
 
     def cycle_valid_from(entry: GlobalState, candidate: Schedule) -> bool:
         if kind == "deadlock-freedom":
-            return cycle_is_df_violation(instance, entry, candidate, predicates)
+            return cycle_is_df_violation(instance, entry, candidate, labels)
         return cycle_is_of_violation(instance, entry, candidate)
 
     entry = replay_values(instance, initial, prefix)

@@ -149,14 +149,21 @@ class SerialBackend:
 
         initial = task.initial
         initial_key, initial_raw = canonicalizer.key_of_state(initial)
+        #: canonical key -> raw key of the representative that claimed
+        #: it; with a retained graph (trivial keys only), the node
+        #: ordinal, which is ``len(visited)`` when the state is first seen.
+        visited: Dict[CanonicalKey, Any] = {initial_key: initial_raw}
         recorder = None
         if task.retain_graph:
             # Imported lazily: repro.verify sits above the runtime layer.
-            from repro.verify.graph import GraphRecorder
+            from repro.verify.graph import GraphRecorder, StateInterner
 
-            recorder = GraphRecorder(initial_raw, initial)
-        #: canonical key -> raw key of the representative that claimed it.
-        visited: Dict[CanonicalKey, CanonicalKey] = {initial_key: initial_raw}
+            interner = StateInterner(len(initial[1]))
+            recorder = GraphRecorder(
+                len(initial[0]), interner.values, interner.entries, canonicalizer
+            )
+            recorder.add_row(interner.pack(initial))
+            visited[initial_key] = 0
         # Each frame: (state, depth, parent link, raw key).  The link is
         # a structure-sharing chain (parent_link, pid) so path
         # reconstruction costs O(depth) only when a violation is found.
@@ -210,7 +217,7 @@ class SerialBackend:
                 if not all_settled(state):
                     result.stuck_states += 1
                 if recorder is not None:
-                    recorder.mark_expanded(state_raw)
+                    recorder.expand(visited[state_raw])
                 continue
 
             if depth >= max_depth:
@@ -218,7 +225,8 @@ class SerialBackend:
                 continue
 
             if recorder is not None:
-                recorder.mark_expanded(state_raw)
+                src = visited[state_raw]
+                recorder.expand(src)
             budget_exhausted = False
             for pid in enabled:
                 child = step_value(instance, state, pid)
@@ -259,11 +267,26 @@ class SerialBackend:
                         # one-step ``(pid, src)`` the liveness analyses
                         # need (a solo livelock in the making).
                         if recorder is not None:
-                            recorder.add_edge(state_raw, pid, state_raw)
+                            recorder.add_edge(pid, src)
                         continue
                 if recorder is not None:
-                    recorder.add_edge(state_raw, pid, raw)
-                    recorder.add_node(raw, child)
+                    # ``visited`` maps a state to its node ordinal; a new child
+                    # gets the next ordinal and its row, and its edge is
+                    # recorded, even when it trips the state budget.
+                    dst = visited.get(key)
+                    if dst is None:
+                        dst = len(visited)
+                        recorder.add_row(interner.pack(child))
+                        if dst >= max_states:
+                            result.truncated_by = "max_states"
+                            budget_exhausted = True
+                        else:
+                            visited[key] = dst
+                            stack.append((child, depth + 1, step_link, raw))
+                    recorder.add_edge(pid, dst)
+                    if budget_exhausted:
+                        break
+                    continue
                 claimed = visited.get(key)
                 if claimed is not None:
                     if claimed != raw:
@@ -279,10 +302,10 @@ class SerialBackend:
                 break
 
         result.complete = result.truncated_by is None
-        result.wall_seconds = time.perf_counter() - started
         result.peak_visited = len(visited)
         if recorder is not None:
             result.graph = recorder.finish(result.complete)
+        result.wall_seconds = time.perf_counter() - started
         if emit:
             telemetry.gauge("explore.visited", len(visited))
             telemetry.gauge("explore.frontier", len(stack))

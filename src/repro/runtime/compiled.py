@@ -34,10 +34,18 @@ it in dense integer tables, filled the first time the walk needs them:
 3. :class:`CompiledBackend` conforms to the
    :class:`~repro.runtime.backends.ExplorationBackend` protocol and
    mirrors :class:`~repro.runtime.backends.SerialBackend` statement for
-   statement over packed states, including ``retain_graph`` recording
-   whose :meth:`StateGraph.to_bytes` is byte-identical.  It is the
-   engine behind :func:`~repro.runtime.exploration.explore`'s default;
-   ``SerialBackend`` stays as its differential oracle.
+   statement over packed states.  It is the engine behind
+   :func:`~repro.runtime.exploration.explore`'s default;
+   ``SerialBackend`` stays as its differential oracle.  A trivial walk
+   keys its visited table on the packed ids themselves
+   (:func:`_trivial_key`); only a symmetry walk assembles the
+   canonicalizer's digests (:func:`_digest_key`).  With
+   ``retain_graph`` the trivial walk records a
+   :class:`~repro.verify.graph.StateGraph` directly in packed form: a
+   state's ``visited`` value is its node ordinal, its packed tuple is
+   the node's row (indexing the program's ``values`` and per-slot entry
+   tables, which the graph shares), and edges go to integer arrays — no
+   digest and no unpack per child.
 
 **Hook exceptions.**  The automata hooks run at the step that first
 needs them — ``next_op``/``apply``/``is_halted`` inside ``step_packed``,
@@ -62,7 +70,7 @@ from __future__ import annotations
 
 import struct
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
@@ -82,6 +90,9 @@ from repro.runtime.kernel import (
 )
 from repro.runtime.ops import ReadOp, WriteOp
 from repro.types import ProcessId
+
+if TYPE_CHECKING:  # pragma: no cover - repro.verify sits above the runtime
+    from repro.verify.graph import GraphRecorder
 
 #: A packed global state: ``m`` register value ids followed by one
 #: local-state id per slot, all small ints.
@@ -650,14 +661,13 @@ class CompiledBackend:
             raise ConfigurationError(
                 "retain_graph=True requires the trivial canonicalizer"
             )
-        # Trivial dedup keys on the packed ids; the canonicalizer's
-        # digests are only needed for a symmetry quotient, or for a
-        # retained graph, whose node keys are the raw digests.
-        digests = task.retain_graph or not trivial
+        # Trivial dedup, with or without a graph, keys on the packed
+        # ids; the canonicalizer's digests are only needed for a
+        # symmetry quotient.
         program = CompiledProgram(
             task.instance,
             task.initial,
-            canonicalizer=task.canonicalizer if digests else None,
+            canonicalizer=None if trivial else task.canonicalizer,
         )
         suspect = _compile_suspect(task.invariant, program) or _always_suspect
         invariant = task.invariant
@@ -667,12 +677,21 @@ class CompiledBackend:
         def slow(packed: PackedState) -> Optional[str]:
             return invariant(StateView(instance, unpack(packed)))
 
+        recorder = None
+        if task.retain_graph:
+            # Imported lazily: repro.verify sits above the runtime layer.
+            from repro.verify.graph import GraphRecorder
+
+            recorder = GraphRecorder(
+                program.m, program.values, program._entries, task.canonicalizer
+            )
         result = self._walk(
             task,
             program,
             suspect,
             slow,
-            _digest_key(program) if digests else _trivial_key(program),
+            _trivial_key(program) if trivial else _digest_key(program),
+            recorder,
             telemetry,
         )
         result.interned_locals = tuple(len(states) for states in program.states)
@@ -694,14 +713,16 @@ class CompiledBackend:
         suspect: Callable[[PackedState], bool],
         slow: Callable[[PackedState], Optional[str]],
         key_of: Callable[[PackedState], Tuple[Any, Any]],
+        recorder: Optional["GraphRecorder"],
         telemetry: TelemetrySink,
     ) -> ExplorationResult:
         """The packed DFS, parameterised by its ``(key, raw)`` function.
 
-        ``key_of`` is :func:`_trivial_key` for a trivial walk without a
-        graph, else :func:`_digest_key` — the canonicalizer's own
-        ``(canonical, raw)`` digests, whose raw half is a retained
-        graph's node key.
+        ``key_of`` is :func:`_trivial_key` for a trivial walk, else
+        :func:`_digest_key` — the canonicalizer's own ``(canonical,
+        raw)`` digests.  With a ``recorder`` (trivial walks only) the
+        ``visited`` value of a state is its node ordinal, which is
+        ``len(visited)`` when the state is first seen.
         """
         max_states = task.max_states
         max_depth = task.max_depth
@@ -731,12 +752,13 @@ class CompiledBackend:
 
         initial = program.initial_packed
         initial_key, initial_raw = key_of(initial)
-        recorder = None
-        if task.retain_graph:
-            from repro.verify.graph import GraphRecorder
-
-            recorder = GraphRecorder(initial_raw, task.initial)
         visited: Dict[Any, Any] = {initial_key: initial_raw}
+        if recorder is not None:
+            visited[initial_key] = 0
+            recorder.add_row(initial)
+            add_row = recorder.rows.extend
+            edge_pid = recorder.pids.append
+            edge_dst = recorder.dsts.append
         stack: List[Tuple[PackedState, int, Any, Any]] = [
             (initial, 0, None, initial_raw)
         ]
@@ -782,13 +804,14 @@ class CompiledBackend:
                 # all_settled, so the serial stuck counter can never
                 # tick here.
                 if recorder is not None:
-                    recorder.mark_expanded(state_raw)
+                    recorder.expand(visited[state_raw])
                 continue
             if depth >= max_depth:
                 result.truncated_by = "max_depth"
                 continue
             if recorder is not None:
-                recorder.mark_expanded(state_raw)
+                src = visited[state_raw]
+                recorder.expand(src)
             budget_exhausted = False
             for (
                 pid,
@@ -848,12 +871,28 @@ class CompiledBackend:
                             seen_locals.add(local)
                     if raw == state_raw:
                         if recorder is not None:
-                            recorder.add_edge(state_raw, pid, state_raw)
+                            edge_pid(pid)
+                            edge_dst(src)
                         continue
                 if recorder is not None:
-                    recorder.add_edge(state_raw, pid, raw)
-                    if raw not in recorder.nodes:
-                        recorder.add_node(raw, program.unpack(child))
+                    # ``visited`` maps a state to its node ordinal; a new child
+                    # gets the next ordinal and its row, and its edge is
+                    # recorded, even when it trips the state budget.
+                    dst = visited.get(key)
+                    if dst is None:
+                        dst = len(visited)
+                        add_row(child)
+                        if dst >= max_states:
+                            result.truncated_by = "max_states"
+                            budget_exhausted = True
+                        else:
+                            visited[key] = dst
+                            stack.append((child, depth + 1, step_link, raw))
+                    edge_pid(pid)
+                    edge_dst(dst)
+                    if budget_exhausted:
+                        break
+                    continue
                 claimed = visited.get(key)
                 if claimed is not None:
                     if claimed != raw:
@@ -873,10 +912,10 @@ class CompiledBackend:
         result.max_depth_reached = max_depth_reached
         result.orbits_collapsed = orbits_collapsed
         result.complete = result.truncated_by is None
-        result.wall_seconds = time.perf_counter() - started
         result.peak_visited = len(visited)
         if recorder is not None:
             result.graph = recorder.finish(result.complete)
+        result.wall_seconds = time.perf_counter() - started
         if emit:
             telemetry.gauge("explore.visited", len(visited))
             telemetry.gauge("explore.frontier", len(stack))

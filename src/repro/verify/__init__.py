@@ -10,7 +10,7 @@ runner (:mod:`repro.verify.runner`) drives registry instances
 ``python -m repro verify``.
 """
 
-from repro.verify.graph import Edge, GraphRecorder, NodeKey, StateGraph
+from repro.verify.graph import Edge, GraphRecorder, StateGraph
 from repro.verify.liveness import (
     LIVENESS_CHECKERS,
     Lasso,
@@ -32,7 +32,6 @@ __all__ = [
     "LIVENESS_CHECKERS",
     "Lasso",
     "LivenessVerdict",
-    "NodeKey",
     "PropertyOutcome",
     "StateGraph",
     "VerificationReport",

@@ -2,190 +2,399 @@
 
 When :func:`repro.runtime.exploration.explore` is called with
 ``retain_graph=True`` the backend records, for every expanded state, the
-full labelled successor relation — one ``(pid, destination key)`` edge
-per enabled process — alongside the state values themselves.  The result
-is a :class:`StateGraph`: the exact transition system the walk explored,
+full labelled successor relation — one ``(pid, destination)`` edge per
+enabled process — alongside the states themselves.  The result is a
+:class:`StateGraph`: the exact transition system the walk explored,
 over which :mod:`repro.verify.liveness` runs its SCC and solo-run
 analyses.
+
+Layout.  The graph is integer-indexed throughout:
+
+* **Nodes are ordinals.**  Node ``i`` is the ``i``-th distinct state the
+  walk saw (as an edge destination, or the start); node 0 is the
+  initial state.  Each node is stored as a packed row — ``m`` register
+  value ids followed by one local-state id per slot — in one flat
+  ``array('I')``.  The rows index two tables the graph shares with the
+  engine that recorded it: ``values`` (register values) and, per slot,
+  ``entries`` (the ``(pid, local, halted, crashed)`` tuple of each local
+  state).  The packed walker hands over its program's interned tables;
+  the interpreter oracle packs its value states through a
+  :class:`StateInterner`.  Row ids therefore differ between the two
+  engines, but :meth:`StateGraph.state` — which unpacks one node, only
+  when a lasso or a test asks — does not.
+* **Edges are CSR.**  ``offsets`` (``n + 1`` entries), ``pids`` and
+  ``dsts`` are ``array('q')``: node ``i``'s out-edges are
+  ``pids[offsets[i]:offsets[i + 1]]`` / ``dsts[...]`` in scheduler pid
+  order.  ``expansion_order`` lists the expanded nodes in the order the
+  walk expanded them (the disk store's edge order); a node missing
+  from it is an unexpanded frontier node of a truncated walk, and an
+  expanded node without edges is terminal.
 
 Soundness constraints (enforced at the ``explore()`` entrance):
 
 * **Trivial canonicalizer only.**  Under a symmetry quotient the graph's
   nodes are orbit *representatives*, and which representative claims an
-  orbit depends on visit order — DFS and BFS legitimately pick different
-  ones, so quotient graphs are not byte-comparable across backends.
-  Worse, quotient edges carry pid labels that are only correct up to the
-  group element mapping the concrete successor onto its representative,
-  which breaks the per-pid fairness bookkeeping the liveness analyses
-  rely on.  With the trivial canonicalizer a node key is the content
-  digest of the concrete state and an edge ``(p, dst)`` means exactly
-  ``step_value(instance, nodes[src], p) == nodes[dst]`` — including
+  orbit depends on visit order.  Worse, quotient edges carry pid labels
+  that are only correct up to the group element mapping the concrete
+  successor onto its representative, which breaks the per-pid fairness
+  bookkeeping the liveness analyses rely on.  With the trivial
+  canonicalizer an edge ``(p, j)`` out of node ``i`` means exactly
+  ``step_value(instance, state(i), p) == state(j)`` — including
   self-loops, which the liveness checkers need (an inert self-loop *is*
   a solo livelock).
 * **Complete walks only** for liveness verdicts: a truncated graph is a
   strict under-approximation, so :class:`StateGraph` records
   ``complete`` and the checkers refuse incomplete graphs.
 
-Determinism: on complete runs the packed walker and the interpreter
-oracle visit the same states and expand each exactly once, recording
-the same edges in the same per-node order (the instance's scheduler pid
-order), so :meth:`StateGraph.to_bytes` — which sorts nodes by key —
-produces byte-identical serialisations from both backends.  The
-differential tests in ``tests/verify/test_graph.py`` pin this.
+Determinism: the packed walker and the interpreter oracle visit the
+same states in the same order and expand each exactly once, recording
+the same edges in the same per-node order, so their graphs have equal
+``offsets``/``pids``/``dsts`` and equal :meth:`StateGraph.state` for
+every node.  :meth:`StateGraph.to_bytes` is the ``repro.stategraph/v1``
+serialisation — nodes sorted by the canonicalizer's raw content key,
+computed lazily, once per node, through ``key_of_state`` — and is
+byte-identical across engines.  The differential tests in
+``tests/verify/test_graph.py`` pin all of this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.runtime.canonical import Canonicalizer
 from repro.runtime.kernel import GlobalState
 from repro.types import ProcessId
 
-#: A node key: the canonicalizer's raw content digest of the state.
-NodeKey = bytes
+#: One labelled edge: (stepping pid, destination node ordinal).
+Edge = Tuple[ProcessId, int]
 
-#: One labelled edge: (stepping pid, destination node key).
-Edge = Tuple[ProcessId, NodeKey]
+#: One slot's local-state entry of a global state:
+#: ``(pid, local, halted, crashed)``.
+Entry = Tuple[ProcessId, Any, bool, bool]
 
 #: Leading magic of the canonical :meth:`StateGraph.to_bytes` framing.
 #: Public so the disk store (:mod:`repro.farm.store`) can emit the same
 #: serialisation without re-stating the format.
 STATEGRAPH_MAGIC = b"repro.stategraph/v1"
-_MAGIC = STATEGRAPH_MAGIC
 
 
-@dataclass
 class StateGraph:
-    """The explored transition system, as plain dictionaries.
+    """The explored transition system: packed node rows, CSR edges.
 
-    ``nodes`` maps each visited key to its concrete
-    :data:`~repro.runtime.kernel.GlobalState`; ``edges`` maps each
-    *expanded* key to its outgoing edges in scheduler pid order.
-    Terminal states (no enabled process) have an empty edge tuple; on a
-    ``complete`` graph every node appears in ``edges``.
+    See the module docstring for the layout.  Built by
+    :meth:`GraphRecorder.finish`; the constructor takes the finished
+    arrays as they are.
     """
 
-    initial: NodeKey
-    nodes: Dict[NodeKey, GlobalState]
-    edges: Dict[NodeKey, Tuple[Edge, ...]]
-    complete: bool
-    #: Scheduler events the retention observed (one per recorded edge;
-    #: informational — the walk's own counter includes acceleration).
-    edge_count: int = field(init=False, default=0)
+    __slots__ = (
+        "complete",
+        "offsets",
+        "pids",
+        "dsts",
+        "expansion_order",
+        "rows",
+        "m",
+        "width",
+        "values",
+        "entries",
+        "canonicalizer",
+        "_keys",
+    )
 
-    def __post_init__(self) -> None:
-        self.edge_count = sum(len(out) for out in self.edges.values())
+    #: The initial state's ordinal.
+    initial = 0
+
+    def __init__(
+        self,
+        *,
+        complete: bool,
+        offsets: array[int],
+        pids: array[int],
+        dsts: array[int],
+        expansion_order: array[int],
+        rows: array[int],
+        m: int,
+        values: List[Any],
+        entries: List[List[Entry]],
+        canonicalizer: Canonicalizer,
+    ) -> None:
+        self.complete = complete
+        self.offsets = offsets
+        self.pids = pids
+        self.dsts = dsts
+        self.expansion_order = expansion_order
+        self.rows = rows
+        self.m = m
+        self.width = m + len(entries)
+        self.values = values
+        self.entries = entries
+        self.canonicalizer = canonicalizer
+        self._keys: Optional[List[bytes]] = None
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.offsets) - 1
 
-    def successors(self, key: NodeKey) -> Tuple[Edge, ...]:
-        """Outgoing edges of a node (empty for terminal states)."""
-        return self.edges.get(key, ())
+    @property
+    def edge_count(self) -> int:
+        """Recorded edges (one per enabled pid of every expanded node)."""
+        return len(self.dsts)
 
-    def successor_via(self, key: NodeKey, pid: ProcessId) -> Optional[NodeKey]:
-        """The destination of ``key``'s ``pid``-labelled edge, if any."""
-        for edge_pid, dst in self.edges.get(key, ()):
-            if edge_pid == pid:
-                return dst
-        return None
+    # -- nodes ---------------------------------------------------------
 
-    def iter_nodes(self) -> Iterator[NodeKey]:
-        """Node keys in sorted (deterministic) order."""
-        return iter(sorted(self.nodes))
+    def state(self, node: int) -> GlobalState:
+        """The concrete kernel value state of ``node``, unpacked."""
+        if not 0 <= node < len(self):
+            raise IndexError(f"node {node} is not in this {len(self)}-node graph")
+        start = node * self.width
+        row = self.rows[start : start + self.width]
+        m = self.m
+        values = self.values
+        return (
+            tuple([values[vi] for vi in row[:m]]),
+            tuple(
+                [entries[row[m + s]] for s, entries in enumerate(self.entries)]
+            ),
+        )
 
-    def path_to(self, target: NodeKey) -> Tuple[ProcessId, ...]:
-        """A schedule from the initial state to ``target``.
+    def slot_column(self, slot: int) -> array[int]:
+        """Every node's local-state id of ``slot``, in node order (an
+        index into ``entries[slot]``)."""
+        return self.rows[self.m + slot :: self.width]
+
+    def key(self, node: int) -> bytes:
+        """The canonicalizer's raw content key of ``node``'s state."""
+        return self._node_keys()[node]
+
+    def _node_keys(self) -> List[bytes]:
+        if self._keys is None:
+            key_of_state = self.canonicalizer.key_of_state
+            self._keys = [
+                key_of_state(self.state(node))[1] for node in range(len(self))
+            ]
+        return self._keys
+
+    # -- edges ---------------------------------------------------------
+
+    def successors(self, node: int) -> Tuple[Edge, ...]:
+        """Outgoing ``(pid, dst)`` edges (empty for terminal or
+        unexpanded nodes)."""
+        start, end = self.offsets[node], self.offsets[node + 1]
+        return tuple(zip(self.pids[start:end], self.dsts[start:end]))
+
+    def expanded(self) -> bytearray:
+        """Per node, 1 if the walk expanded it (terminal nodes included)
+        and 0 for a truncated walk's unexpanded frontier."""
+        flags = bytearray(len(self))
+        for node in self.expansion_order:
+            flags[node] = 1
+        return flags
+
+    def path_to(self, target: int) -> Tuple[ProcessId, ...]:
+        """A schedule from the initial state to node ``target``.
 
         Deterministic breadth-first search over the recorded edges
-        (neighbours in recorded order), so both backends' graphs yield
-        the same schedule for the same target.  The returned pids replay
-        through :func:`~repro.runtime.kernel.step_value` (or
+        (neighbours in recorded order), so equal graphs yield the same
+        schedule.  The returned pids replay through
+        :func:`~repro.runtime.kernel.step_value` (or
         :func:`~repro.runtime.replay.replay_schedule` on a fresh
-        system) from the initial state to ``target``'s state.
+        system) from the initial state to ``state(target)``.
         """
-        if target == self.initial:
-            return ()
-        parent: Dict[NodeKey, Tuple[NodeKey, ProcessId]] = {}
-        frontier: List[NodeKey] = [self.initial]
-        seen = {self.initial}
-        while frontier:
-            next_frontier: List[NodeKey] = []
-            for key in frontier:
-                for pid, dst in self.edges.get(key, ()):
-                    if dst in seen:
-                        continue
-                    seen.add(dst)
-                    parent[dst] = (key, pid)
-                    if dst == target:
-                        path: List[ProcessId] = []
-                        cur = dst
-                        while cur != self.initial:
-                            cur, step = parent[cur]
-                            path.append(step)
-                        return tuple(reversed(path))
-                    next_frontier.append(dst)
-            frontier = next_frontier
-        raise KeyError(f"node {target.hex()} is not reachable in this graph")
+        return path_between(self.offsets, self.pids, self.dsts, 0, target)
+
+    # -- canonical serialisation ---------------------------------------
 
     def to_bytes(self) -> bytes:
         """Canonical serialisation: identical bytes for identical graphs.
 
-        Nodes are emitted sorted by key, each with its edges in recorded
-        (scheduler pid) order.  Node *states* are not re-serialised —
-        the key already is the content digest of the state, so two
-        graphs with equal serialisations describe the same transition
-        system.
+        Nodes are emitted sorted by raw content key, each with its edges
+        in recorded (scheduler pid) order.  Node *states* are not
+        re-serialised — the key already is the content digest of the
+        state, so two graphs with equal serialisations describe the same
+        transition system.
         """
+        keys = self._node_keys()
+        offsets, pids, dsts = self.offsets, self.pids, self.dsts
+        labels: Dict[int, bytes] = {}
         out: List[bytes] = [
-            _MAGIC,
+            STATEGRAPH_MAGIC,
             b"\x01" if self.complete else b"\x00",
-            self.initial,
-            len(self.nodes).to_bytes(8, "big"),
+            keys[0],
+            len(keys).to_bytes(8, "big"),
         ]
-        for key in sorted(self.nodes):
-            edges = self.edges.get(key, ())
-            out.append(key)
-            out.append(len(edges).to_bytes(4, "big"))
-            for pid, dst in edges:
-                out.append(f"p{pid};".encode("ascii"))
-                out.append(dst)
+        for node in sorted(range(len(keys)), key=keys.__getitem__):
+            start, end = offsets[node], offsets[node + 1]
+            out.append(keys[node])
+            out.append((end - start).to_bytes(4, "big"))
+            for edge in range(start, end):
+                pid = pids[edge]
+                label = labels.get(pid)
+                if label is None:
+                    label = labels[pid] = f"p{pid};".encode("ascii")
+                out.append(label)
+                out.append(keys[dsts[edge]])
         return b"".join(out)
 
 
-class GraphRecorder:
-    """Incremental edge/node accumulator the backends feed during a walk.
+def path_between(
+    offsets: Sequence[int],
+    pids: Sequence[int],
+    dsts: Sequence[int],
+    source: int,
+    target: int,
+) -> Tuple[ProcessId, ...]:
+    """Shortest schedule from ``source`` to ``target`` over CSR edges.
 
-    Kept deliberately dumb: ``add_node`` on first claim of a key,
-    ``add_edge`` for every enabled pid of every expanded state (inert
-    self-loops included).  ``finish`` packages the accumulated relation
-    into a :class:`StateGraph` with the walk's completeness verdict.
+    Breadth-first, neighbours in recorded order, so the result is a
+    function of the arrays alone.  Raises ``KeyError`` when ``target``
+    is unreachable.
+    """
+    if target == source:
+        return ()
+    parent: Dict[int, Tuple[int, ProcessId]] = {}
+    frontier = [source]
+    seen = {source}
+    while frontier:
+        next_frontier: List[int] = []
+        for node in frontier:
+            for edge in range(offsets[node], offsets[node + 1]):
+                dst = dsts[edge]
+                if dst in seen:
+                    continue
+                seen.add(dst)
+                parent[dst] = (node, pids[edge])
+                if dst == target:
+                    path: List[ProcessId] = []
+                    cur = dst
+                    while cur != source:
+                        cur, step = parent[cur]
+                        path.append(step)
+                    return tuple(reversed(path))
+                next_frontier.append(dst)
+        frontier = next_frontier
+    raise KeyError(f"node {target} is not reachable in this graph")
+
+
+class StateInterner:
+    """Packs kernel value states into graph rows, calling no hooks.
+
+    The interpreter oracle's counterpart of the packed walker's program
+    tables: register values and per-slot ``(pid, local, halted,
+    crashed)`` entries get ids on first sight, by value equality.
     """
 
-    __slots__ = ("initial", "nodes", "edges")
+    __slots__ = ("values", "entries", "_value_ids", "_entry_ids")
 
-    def __init__(self, initial: NodeKey, initial_state: GlobalState) -> None:
-        self.initial = initial
-        self.nodes: Dict[NodeKey, GlobalState] = {initial: initial_state}
-        self.edges: Dict[NodeKey, List[Edge]] = {}
+    def __init__(self, nslots: int) -> None:
+        self.values: List[Any] = []
+        self.entries: List[List[Entry]] = [[] for _ in range(nslots)]
+        self._value_ids: Dict[Any, int] = {}
+        self._entry_ids: List[Dict[Entry, int]] = [{} for _ in range(nslots)]
 
-    def add_node(self, key: NodeKey, state: GlobalState) -> None:
-        self.nodes.setdefault(key, state)
+    def pack(self, state: GlobalState) -> Tuple[int, ...]:
+        registers, locals_part = state
+        row: List[int] = []
+        for value in registers:
+            vi = self._value_ids.get(value)
+            if vi is None:
+                vi = self._value_ids[value] = len(self.values)
+                self.values.append(value)
+            row.append(vi)
+        for slot, entry in enumerate(locals_part):
+            ids = self._entry_ids[slot]
+            ei = ids.get(entry)
+            if ei is None:
+                ei = ids[entry] = len(self.entries[slot])
+                self.entries[slot].append(entry)
+            row.append(ei)
+        return tuple(row)
 
-    def add_edge(self, src: NodeKey, pid: ProcessId, dst: NodeKey) -> None:
-        self.edges.setdefault(src, []).append((pid, dst))
 
-    def mark_expanded(self, src: NodeKey) -> None:
-        """Record that ``src`` was expanded, even if it has no edges
-        (terminal states must be distinguishable from never-expanded
-        ones on truncated walks)."""
-        self.edges.setdefault(src, [])
+class GraphRecorder:
+    """The accumulator a walk records its graph into.
+
+    The walk appends one packed row per new node (:meth:`add_row`; the
+    ``i``-th row is node ``i``), opens each expanded node's run of edges
+    with :meth:`expand`, and appends that node's edges to ``pids`` and
+    ``dsts`` (hot loops hoist the two ``append`` methods).  A node's
+    edges therefore arrive contiguously, in expansion order;
+    :meth:`finish` reorders the runs into node-order CSR.
+    """
+
+    __slots__ = (
+        "m",
+        "values",
+        "entries",
+        "canonicalizer",
+        "rows",
+        "pids",
+        "dsts",
+        "_order",
+        "_starts",
+    )
+
+    def __init__(
+        self,
+        m: int,
+        values: List[Any],
+        entries: List[List[Entry]],
+        canonicalizer: Canonicalizer,
+    ) -> None:
+        self.m = m
+        self.values = values
+        self.entries = entries
+        self.canonicalizer = canonicalizer
+        self.rows = array("I")
+        self.pids = array("q")
+        self.dsts = array("q")
+        self._order = array("q")
+        self._starts = array("q")
+
+    def add_row(self, row: Sequence[int]) -> None:
+        """Append the next node's packed row."""
+        self.rows.extend(row)
+
+    def expand(self, src: int) -> None:
+        """Open node ``src``'s run of edges (possibly empty: terminal)."""
+        self._order.append(src)
+        self._starts.append(len(self.dsts))
+
+    def add_edge(self, pid: ProcessId, dst: int) -> None:
+        """Append one edge of the node last opened by :meth:`expand`."""
+        self.pids.append(pid)
+        self.dsts.append(dst)
 
     def finish(self, complete: bool) -> StateGraph:
+        """Package the recorded relation as a :class:`StateGraph`."""
+        n = len(self.rows) // (self.m + len(self.entries))
+        order, starts = self._order, self._starts
+        run_of = [-1] * n
+        for run, node in enumerate(order):
+            run_of[node] = run
+        starts.append(len(self.dsts))
+        pids, dsts = self.pids, self.dsts
+        offsets = array("q", [0])
+        out_pids = array("q")
+        out_dsts = array("q")
+        total = 0
+        for node in range(n):
+            run = run_of[node]
+            if run >= 0:
+                start, end = starts[run], starts[run + 1]
+                if end > start:
+                    out_pids += pids[start:end]
+                    out_dsts += dsts[start:end]
+                    total += end - start
+            offsets.append(total)
         return StateGraph(
-            initial=self.initial,
-            nodes=self.nodes,
-            edges={src: tuple(out) for src, out in self.edges.items()},
             complete=complete,
+            offsets=offsets,
+            pids=out_pids,
+            dsts=out_dsts,
+            expansion_order=order,
+            rows=self.rows,
+            m=self.m,
+            values=self.values,
+            entries=self.entries,
+            canonicalizer=self.canonicalizer,
         )

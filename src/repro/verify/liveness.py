@@ -26,12 +26,22 @@ On the finite, complete transition system a backend retains (see
   Theorems 4.1/4.2/5.1 as exhaustive verification instead of adversary
   sampling.
 
+Both analyses run on integers.  The graph's nodes are ordinals and its
+edges CSR arrays; the labels they need — which processes are live, in
+their critical section, or in their entry section — are looked up once
+per distinct local state (:class:`CsLabels`, per slot) and spread over
+the nodes as per-node lists and bitmasks.  The cores
+(:func:`find_fair_nonprogress_cycle`, :func:`find_solo_livelock`) take
+only ``(n, CSR, labels)``, so they can be checked against brute force on
+synthetic graphs.
+
 Counterexamples come back as a :class:`Lasso` — a finite prefix
 schedule from the initial state plus a repeatable cycle schedule — and
 are *validated before being returned*: the checker replays both parts
 through the pure kernel (:func:`~repro.runtime.kernel.step_value`,
-:func:`~repro.runtime.kernel.solo_run_value`) and re-checks the
-fairness/non-progress/trying conditions on the replayed states.  A
+:func:`~repro.runtime.kernel.solo_run_value`) and re-checks the cycle
+with :func:`cycle_is_df_violation`, the one definition of a fair
+non-progress cycle (the fuzzer's oracle uses the same function).  A
 lasso that fails its own replay is an internal error, never a verdict.
 
 All checkers require a ``complete`` graph: a truncated walk is a strict
@@ -43,9 +53,22 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from itertools import accumulate, chain, compress, repeat
+from operator import and_, eq, ge, or_, sub
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
-from repro.errors import VerificationError
+from repro.errors import ProtocolError, SchedulingError, VerificationError
 from repro.runtime.kernel import (
     GlobalState,
     StepInstance,
@@ -53,7 +76,7 @@ from repro.runtime.kernel import (
     step_value,
 )
 from repro.types import ProcessId
-from repro.verify.graph import Edge, NodeKey, StateGraph
+from repro.verify.graph import Entry, StateGraph
 
 
 @dataclass(frozen=True)
@@ -68,8 +91,9 @@ class Lasso:
 
     prefix: Tuple[ProcessId, ...]
     cycle: Tuple[ProcessId, ...]
-    #: Node key of the cycle entry state in the retained graph.
-    entry: NodeKey
+    #: Node ordinal of the cycle entry state in the retained graph
+    #: (``graph.state(entry)`` is the state).
+    entry: int
 
 
 @dataclass(frozen=True)
@@ -93,7 +117,7 @@ def _require_complete(graph: StateGraph, kind: str) -> None:
         )
 
 
-def _live_pids(
+def live_pids(
     instance: StepInstance, state: GlobalState
 ) -> Tuple[ProcessId, ...]:
     """Processes neither halted nor crashed, in scheduler order."""
@@ -117,112 +141,185 @@ def _replay(
 
 
 # ---------------------------------------------------------------------------
-# Deadlock-freedom: fair non-progress cycles via SCC analysis
+# The deadlock-freedom predicate
 # ---------------------------------------------------------------------------
 
 
-class _CsPredicate:
-    """Memoised ``in_critical_section`` / ``phase`` over local states."""
+class CsLabels:
+    """``in_critical_section`` / ``phase``, memoised per (slot, local).
+
+    The one definition of the deadlock-freedom labels, shared by the
+    graph checker (which spreads them over node ordinals) and the
+    fuzzer's cycle oracle (which asks about value states).
+    ``supported`` reports whether every automaton exposes both hooks
+    (mutex-style automata only); ``unsupported`` lists the pids whose
+    automaton does not.
+    """
 
     def __init__(self, instance: StepInstance) -> None:
-        for pid, automaton in instance.automata.items():
+        self.instance = instance
+        self.unsupported = [
+            pid
+            for pid in instance.pid_order
             if not (
-                hasattr(automaton, "in_critical_section")
-                and hasattr(automaton, "phase")
-            ):
-                raise VerificationError(
-                    "deadlock-freedom requires mutex-style automata with "
-                    "in_critical_section()/phase() predicates; process "
-                    f"{pid}'s {type(automaton).__name__} has neither"
-                )
-        self._instance = instance
-        self._in_cs: Dict[Tuple[ProcessId, object], bool] = {}
-        self._phase: Dict[Tuple[ProcessId, object], str] = {}
+                hasattr(instance.automata[pid], "in_critical_section")
+                and hasattr(instance.automata[pid], "phase")
+            )
+        ]
+        self.supported = not self.unsupported
+        slots = len(instance.pid_order)
+        self._autos: List[Any] = [None] * slots
+        for pid, slot in instance.slot_of.items():
+            self._autos[slot] = instance.automata[pid]
+        self._in_cs: List[Dict[Any, bool]] = [{} for _ in range(slots)]
+        self._phase: List[Dict[Any, str]] = [{} for _ in range(slots)]
+
+    def in_cs_local(self, slot: int, local: Any) -> bool:
+        memo = self._in_cs[slot]
+        cached = memo.get(local)
+        if cached is None:
+            cached = memo[local] = bool(self._autos[slot].in_critical_section(local))
+        return cached
+
+    def phase_local(self, slot: int, local: Any) -> str:
+        memo = self._phase[slot]
+        cached = memo.get(local)
+        if cached is None:
+            cached = memo[local] = self._autos[slot].phase(local)
+        return cached
 
     def in_cs(self, state: GlobalState, pid: ProcessId) -> bool:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._in_cs.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].in_critical_section(local)
-            self._in_cs[key] = cached
-        return cached
+        slot = self.instance.slot_of[pid]
+        return self.in_cs_local(slot, state[1][slot][1])
 
     def phase(self, state: GlobalState, pid: ProcessId) -> str:
-        local = self._instance.slot_entry(state, pid)[1]
-        key = (pid, local)
-        cached = self._phase.get(key)
-        if cached is None:
-            cached = self._instance.automata[pid].phase(local)
-            self._phase[key] = cached
-        return cached
+        slot = self.instance.slot_of[pid]
+        return self.phase_local(slot, state[1][slot][1])
 
 
-def _tarjan_sccs(
-    order: List[NodeKey], edges: Dict[NodeKey, List[Edge]]
-) -> List[List[NodeKey]]:
-    """Iterative Tarjan over the (non-progress) edge relation."""
-    index: Dict[NodeKey, int] = {}
-    low: Dict[NodeKey, int] = {}
-    on_stack: Set[NodeKey] = set()
-    stack: List[NodeKey] = []
-    sccs: List[List[NodeKey]] = []
+def cycle_is_df_violation(
+    instance: StepInstance,
+    entry: GlobalState,
+    cycle: Sequence[ProcessId],
+    labels: CsLabels,
+) -> bool:
+    """Whether ``cycle`` from ``entry`` is a fair non-progress cycle.
+
+    The single definition of a deadlock-freedom violation: the cycle
+    closes back to ``entry``; every live process steps in it
+    (fairness); no step is a critical-section *entry* (non-progress);
+    and some live process is in its entry section at ``entry`` (someone
+    is actually trying).  Sound: on a deadlock-free instance no cycle
+    can satisfy all four, so neither the graph checker's validator nor
+    the fuzzer can report a false positive.
+    """
+    if not cycle or not labels.supported:
+        return False
+    live = live_pids(instance, entry)
+    if not live or not set(live) <= set(cycle):
+        return False
+    if not any(labels.phase(entry, pid) == "entry" for pid in live):
+        return False
+    state = entry
+    for pid in cycle:
+        try:
+            successor = step_value(instance, state, pid)
+        except (SchedulingError, ProtocolError):
+            return False
+        if not labels.in_cs(state, pid) and labels.in_cs(successor, pid):
+            return False  # progress edge: someone got in
+        state = successor
+    return state == entry
+
+
+# ---------------------------------------------------------------------------
+# Integer cores
+# ---------------------------------------------------------------------------
+
+
+def _tarjan(
+    n: int, offsets: Sequence[int], dsts: Sequence[int]
+) -> Iterator[List[int]]:
+    """Strongly connected components of a CSR graph, iteratively.
+
+    Yields each component's members (in Tarjan-stack order, its root
+    first) in completion order — a reverse topological order of the
+    condensation.  Roots are tried in node order.
+    """
+    index = [-1] * n
+    low = [0] * n
+    cursor = list(offsets[:n])
+    on_stack = bytearray(n)
+    stack: List[int] = []
     counter = 0
-    for root in order:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        work: List[Tuple[NodeKey, int]] = [(root, 0)]
-        while work:
-            node, edge_i = work[-1]
-            if edge_i == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            out = edges.get(node, [])
-            while edge_i < len(out):
-                _, dst = out[edge_i]
-                edge_i += 1
-                if dst not in index:
-                    work[-1] = (node, edge_i)
-                    work.append((dst, 0))
-                    advanced = True
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        calls = [root]
+        while calls:
+            node = calls[-1]
+            edge = cursor[node]
+            end = offsets[node + 1]
+            descended = False
+            while edge < end:
+                dst = dsts[edge]
+                edge += 1
+                if index[dst] < 0:
+                    cursor[node] = edge
+                    index[dst] = low[dst] = counter
+                    counter += 1
+                    stack.append(dst)
+                    on_stack[dst] = 1
+                    calls.append(dst)
+                    descended = True
                     break
-                if dst in on_stack:
-                    low[node] = min(low[node], index[dst])
-            if advanced:
+                if on_stack[dst] and index[dst] < low[node]:
+                    low[node] = index[dst]
+            if descended:
                 continue
-            work.pop()
-            if low[node] == index[node]:
-                members: List[NodeKey] = []
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    members.append(top)
-                    if top == node:
-                        break
-                sccs.append(members)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
+            calls.pop()
+            node_low = low[node]
+            if node_low == index[node]:
+                top = len(stack) - 1
+                while stack[top] != node:
+                    top -= 1
+                members = stack[top:]
+                del stack[top:]
+                for member in members:
+                    on_stack[member] = 0
+                yield members
+            if calls:
+                parent = calls[-1]
+                if node_low < low[parent]:
+                    low[parent] = node_low
 
 
 def _route(
-    adj: Dict[NodeKey, List[Edge]],
-    src: NodeKey,
-    accept: Callable[[NodeKey, ProcessId, NodeKey], bool],
-) -> Tuple[List[ProcessId], NodeKey]:
+    offsets: Sequence[int],
+    pids: Sequence[int],
+    dsts: Sequence[int],
+    inside: Set[int],
+    src: int,
+    accept: Callable[[ProcessId, int], bool],
+) -> Tuple[List[ProcessId], int]:
     """Shortest schedule from ``src`` whose final edge satisfies
-    ``accept``, breadth-first over the restricted adjacency."""
-    parent: Dict[NodeKey, Tuple[NodeKey, ProcessId]] = {}
-    queue: deque = deque([src])
+    ``accept(pid, dst)``, breadth-first over the edges that stay
+    ``inside`` the component."""
+    parent: Dict[int, Tuple[int, ProcessId]] = {}
+    queue: Deque[int] = deque([src])
     seen = {src}
     while queue:
         node = queue.popleft()
-        for pid, dst in adj.get(node, []):
-            if accept(node, pid, dst):
+        for edge in range(offsets[node], offsets[node + 1]):
+            dst = dsts[edge]
+            if dst not in inside:
+                continue
+            pid = pids[edge]
+            if accept(pid, dst):
                 path: List[ProcessId] = [pid]
                 cur = node
                 while cur != src:
@@ -241,23 +338,197 @@ def _route(
 
 
 def _fair_cycle(
-    adj: Dict[NodeKey, List[Edge]],
-    start: NodeKey,
-    required: Tuple[ProcessId, ...],
+    offsets: Sequence[int],
+    pids: Sequence[int],
+    dsts: Sequence[int],
+    inside: Set[int],
+    start: int,
+    required: Sequence[ProcessId],
 ) -> Tuple[ProcessId, ...]:
-    """A cycle through ``start`` (within the restricted adjacency) in
+    """A cycle through ``start`` (within the component ``inside``) in
     which every required pid steps at least once."""
     schedule: List[ProcessId] = []
     remaining = set(required)
     cur = start
     while remaining:
-        hop, cur = _route(adj, cur, lambda u, p, v: p in remaining)
+        hop, cur = _route(
+            offsets, pids, dsts, inside, cur, lambda p, v: p in remaining
+        )
         remaining.difference_update(hop)
         schedule.extend(hop)
     if cur != start:
-        hop, cur = _route(adj, cur, lambda u, p, v: v == start)
+        hop, cur = _route(offsets, pids, dsts, inside, cur, lambda p, v: v == start)
         schedule.extend(hop)
     return tuple(schedule)
+
+
+@dataclass(frozen=True)
+class FairCycle:
+    """A fair non-progress cycle found by :func:`find_fair_nonprogress_cycle`."""
+
+    #: Node ordinal the cycle starts and ends at (a trying state).
+    entry: int
+    #: The cycle's schedule: every live pid steps, no edge is progress.
+    cycle: Tuple[ProcessId, ...]
+    #: The live pids of the component, in ``pid_order``.
+    live: Tuple[ProcessId, ...]
+    #: Size of the strongly connected component it lies in.
+    component: int
+
+
+def find_fair_nonprogress_cycle(
+    n: int,
+    offsets: Sequence[int],
+    pids: Sequence[int],
+    dsts: Sequence[int],
+    pid_order: Sequence[ProcessId],
+    in_cs: Sequence[int],
+    live: Sequence[int],
+    trying: Sequence[int],
+) -> Tuple[Optional[FairCycle], int]:
+    """The deadlock-freedom core over a CSR graph with node labels.
+
+    The labels are per-node bitmasks over ``pid_order`` (bit ``k`` for
+    ``pid_order[k]``): ``in_cs[u]`` of the processes in their critical
+    section at node ``u``, ``live[u]`` of the live ones and
+    ``trying[u]`` of the live ones in their entry section.
+
+    Deletes the progress edges, walks the SCCs of what remains in
+    completion order and returns the first whose internal edges step
+    every live pid and which holds a trying node, as a
+    :class:`FairCycle`, with the number of SCCs walked.  ``(None,
+    all SCCs)`` means no fair non-progress cycle exists.
+    """
+    bit = {pid: 1 << k for k, pid in enumerate(pid_order)}
+    # Edge-parallel lists, built by C-level maps: each edge's source,
+    # its pid's bit, and whether it is kept.  A progress edge takes its
+    # pid from outside the critical section (masked source label 0) to
+    # inside it (masked destination label = the bit); every other edge
+    # has source label >= destination label.
+    srcs = list(
+        chain.from_iterable(
+            map(repeat, range(n), map(sub, offsets[1:], offsets[:-1]))
+        )
+    )
+    bits = list(map(bit.__getitem__, pids))
+    keep = list(
+        map(
+            ge,
+            map(and_, map(in_cs.__getitem__, srcs), bits),
+            map(and_, map(in_cs.__getitem__, dsts), bits),
+        )
+    )
+    kept = list(accumulate(keep, initial=0))
+    keep_offsets = list(map(kept.__getitem__, offsets))
+    keep_pids = list(compress(pids, keep))
+    keep_dsts = list(compress(dsts, keep))
+    keep_srcs = list(compress(srcs, keep))
+    # A one-node SCC has a cycle through it only by a kept self-loop.
+    looping = set(compress(keep_srcs, map(eq, keep_srcs, keep_dsts)))
+
+    sccs = 0
+    for members in _tarjan(n, keep_offsets, keep_dsts):
+        sccs += 1
+        if len(members) == 1 and members[0] not in looping:
+            continue  # trivial SCC: no cycle through it
+        inside = set(members)
+        stepped = 0
+        for node in members:
+            for edge in range(keep_offsets[node], keep_offsets[node + 1]):
+                if keep_dsts[edge] in inside:
+                    stepped |= bit[keep_pids[edge]]
+        live_mask = live[members[0]]
+        for node in members:
+            if live[node] != live_mask:
+                raise RuntimeError(
+                    "internal error: live set varies within an SCC — "
+                    "halted/crashed flags are supposed to be monotone"
+                )
+        if not live_mask or live_mask & ~stepped:
+            continue  # no fair scheduler can loop here forever
+        start = next((node for node in members if trying[node] & live_mask), None)
+        if start is None:
+            continue  # nobody trying: starving no one
+        live_set = tuple(pid for pid in pid_order if bit[pid] & live_mask)
+        cycle = _fair_cycle(
+            keep_offsets, keep_pids, keep_dsts, inside, start, live_set
+        )
+        return FairCycle(start, cycle, live_set, len(members)), sccs
+    return None, sccs
+
+
+def find_solo_livelock(
+    n: int,
+    offsets: Sequence[int],
+    pids: Sequence[int],
+    dsts: Sequence[int],
+    pid_order: Sequence[ProcessId],
+) -> Optional[Tuple[ProcessId, int, int]]:
+    """The obstruction-freedom core over a CSR graph.
+
+    For each pid in order, chain-walks its functional ``pid``-edge
+    subgraph from every node in node order, memoising nodes whose solo
+    run settles (no ``pid`` edge).  Returns ``(pid, entry, cycle
+    length)`` for the first solo cycle met, or ``None``.
+    """
+    for pid in pid_order:
+        succ = [-1] * n
+        for node in range(n):
+            for edge in range(offsets[node], offsets[node + 1]):
+                if pids[edge] == pid:
+                    succ[node] = dsts[edge]
+                    break
+        settled = bytearray(n)
+        position = [-1] * n
+        for origin in range(n):
+            if settled[origin]:
+                continue
+            path: List[int] = []
+            cur = origin
+            while cur >= 0 and not settled[cur]:
+                if position[cur] >= 0:
+                    return pid, cur, len(path) - position[cur]
+                position[cur] = len(path)
+                path.append(cur)
+                cur = succ[cur]
+            for node in path:
+                settled[node] = 1
+    return None
+
+
+# ---------------------------------------------------------------------------
+# Graph labels
+# ---------------------------------------------------------------------------
+
+
+def _node_masks(
+    graph: StateGraph,
+    instance: StepInstance,
+    label: Callable[[int, Entry], bool],
+) -> List[int]:
+    """Per node, the bitmask over ``pid_order`` of the processes whose
+    local-state entry satisfies ``label(slot, entry)``.  ``label`` runs
+    once per distinct local state the graph holds, per slot."""
+    masks: List[int] = [0] * len(graph)
+    for k, pid in enumerate(instance.pid_order):
+        slot = instance.slot_of[pid]
+        column = graph.slot_column(slot)
+        entries = graph.entries[slot]
+        table = [0] * len(entries)
+        for si in set(column):
+            if label(slot, entries[si]):
+                table[si] = 1 << k
+        masks = list(map(or_, masks, map(table.__getitem__, column)))
+    return masks
+
+
+def _is_live(slot: int, entry: Entry) -> bool:
+    return not (entry[2] or entry[3])
+
+
+# ---------------------------------------------------------------------------
+# Deadlock-freedom: fair non-progress cycles via SCC analysis
+# ---------------------------------------------------------------------------
 
 
 def check_deadlock_freedom(
@@ -271,129 +542,79 @@ def check_deadlock_freedom(
     verdict carries a replay-validated :class:`Lasso`.
     """
     _require_complete(graph, "deadlock-freedom")
-    predicates = _CsPredicate(instance)
-    nodes = graph.nodes
-    order = sorted(nodes)
-
-    nonprogress: Dict[NodeKey, List[Edge]] = {}
-    for key in order:
-        src = nodes[key]
-        kept = [
-            (pid, dst)
-            for pid, dst in graph.successors(key)
-            if predicates.in_cs(src, pid)
-            or not predicates.in_cs(nodes[dst], pid)
-        ]
-        if kept:
-            nonprogress[key] = kept
-
-    sccs = _tarjan_sccs(order, nonprogress)
-    for members in sccs:
-        member_set = set(members)
-        internal: Dict[NodeKey, List[Edge]] = {}
-        stepped: Set[ProcessId] = set()
-        for key in members:
-            kept = [
-                (pid, dst)
-                for pid, dst in nonprogress.get(key, [])
-                if dst in member_set
-            ]
-            if kept:
-                internal[key] = kept
-                stepped.update(pid for pid, _ in kept)
-        if not internal:
-            continue  # trivial SCC: no cycle through it
-        live = _live_pids(instance, nodes[members[0]])
-        for key in members[1:]:
-            if _live_pids(instance, nodes[key]) != live:
-                raise RuntimeError(
-                    "internal error: live set varies within an SCC — "
-                    "halted/crashed flags are supposed to be monotone"
-                )
-        if not live or not set(live) <= stepped:
-            continue  # no fair scheduler can loop here forever
-        start = next(
-            (
-                key
-                for key in members
-                if any(
-                    predicates.phase(nodes[key], pid) == "entry"
-                    for pid in live
-                )
-            ),
-            None,
+    labels = CsLabels(instance)
+    if not labels.supported:
+        pid = labels.unsupported[0]
+        raise VerificationError(
+            "deadlock-freedom requires mutex-style automata with "
+            "in_critical_section()/phase() predicates; process "
+            f"{pid}'s {type(instance.automata[pid]).__name__} has neither"
         )
-        if start is None:
-            continue  # nobody trying: starving no one
-        cycle = _fair_cycle(internal, start, live)
-        prefix = graph.path_to(start)
-        _validate_df_lasso(
-            instance, nodes[graph.initial], prefix, cycle,
-            nodes[start], live, predicates,
-        )
+    found, sccs = find_fair_nonprogress_cycle(
+        len(graph),
+        graph.offsets,
+        graph.pids,
+        graph.dsts,
+        instance.pid_order,
+        _node_masks(
+            graph, instance, lambda slot, e: labels.in_cs_local(slot, e[1])
+        ),
+        _node_masks(graph, instance, _is_live),
+        _node_masks(
+            graph,
+            instance,
+            lambda slot, e: _is_live(slot, e)
+            and labels.phase_local(slot, e[1]) == "entry",
+        ),
+    )
+    if found is None:
         return LivenessVerdict(
             kind="deadlock-freedom",
-            holds=False,
+            holds=True,
             states=len(graph),
             detail=(
-                f"fair non-progress cycle of length {len(cycle)} through "
-                f"an SCC of {len(members)} states (live pids {list(live)} "
-                f"all step, no critical-section entry, a live process "
-                f"stays in its entry section); prefix length {len(prefix)}"
+                f"no fair non-progress cycle in {len(graph)} states / "
+                f"{sccs} SCCs: every fair infinite execution enters "
+                "the critical section infinitely often"
             ),
-            lasso=Lasso(prefix=prefix, cycle=cycle, entry=start),
         )
+    prefix = graph.path_to(found.entry)
+    _validate_df_lasso(instance, graph, prefix, found.cycle, found.entry, labels)
     return LivenessVerdict(
         kind="deadlock-freedom",
-        holds=True,
+        holds=False,
         states=len(graph),
         detail=(
-            f"no fair non-progress cycle in {len(graph)} states / "
-            f"{len(sccs)} SCCs: every fair infinite execution enters "
-            "the critical section infinitely often"
+            f"fair non-progress cycle of length {len(found.cycle)} through "
+            f"an SCC of {found.component} states (live pids "
+            f"{list(found.live)} all step, no critical-section entry, a "
+            f"live process stays in its entry section); prefix length "
+            f"{len(prefix)}"
         ),
+        lasso=Lasso(prefix=prefix, cycle=found.cycle, entry=found.entry),
     )
 
 
 def _validate_df_lasso(
     instance: StepInstance,
-    initial_state: GlobalState,
+    graph: StateGraph,
     prefix: Tuple[ProcessId, ...],
     cycle: Tuple[ProcessId, ...],
-    entry_state: GlobalState,
-    live: Tuple[ProcessId, ...],
-    predicates: _CsPredicate,
+    entry: int,
+    labels: CsLabels,
 ) -> None:
-    """Replay the lasso through the pure kernel and re-check every
-    condition the verdict claims.  Failures are internal errors."""
-    state = _replay(instance, initial_state, prefix)
-    if state != entry_state:
+    """Replay the lasso through the pure kernel and re-check the cycle
+    with :func:`cycle_is_df_violation`.  Failures are internal errors."""
+    entry_state = graph.state(entry)
+    if _replay(instance, graph.state(graph.initial), prefix) != entry_state:
         raise RuntimeError(
             "internal error: lasso prefix does not replay to the cycle "
             "entry state"
         )
-    if not any(predicates.phase(state, pid) == "entry" for pid in live):
+    if not cycle_is_df_violation(instance, entry_state, cycle, labels):
         raise RuntimeError(
-            "internal error: no live process is trying at the cycle entry"
-        )
-    stepped: Set[ProcessId] = set()
-    for pid in cycle:
-        successor = step_value(instance, state, pid)
-        if not predicates.in_cs(state, pid) and predicates.in_cs(
-            successor, pid
-        ):
-            raise RuntimeError(
-                "internal error: lasso cycle contains a progress edge"
-            )
-        stepped.add(pid)
-        state = successor
-    if state != entry_state:
-        raise RuntimeError(
-            "internal error: lasso cycle does not return to its entry state"
-        )
-    if not set(live) <= stepped:
-        raise RuntimeError(
-            "internal error: lasso cycle is not fair for the live set"
+            "internal error: lasso cycle is not a fair non-progress cycle "
+            "from its entry state"
         )
 
 
@@ -415,34 +636,13 @@ def check_obstruction_freedom(
     cycle is just ``p`` repeated.
     """
     _require_complete(graph, "obstruction-freedom")
-    nodes = graph.nodes
-    order = sorted(nodes)
-    for pid in instance.pid_order:
-        terminates: Set[NodeKey] = set()
-        for origin in order:
-            if origin in terminates:
-                continue
-            path: List[NodeKey] = []
-            position: Dict[NodeKey, int] = {}
-            cur = origin
-            while True:
-                if cur in terminates:
-                    terminates.update(path)
-                    break
-                if cur in position:
-                    cycle_len = len(path) - position[cur]
-                    return _of_violation(instance, graph, pid, cur, cycle_len)
-                position[cur] = len(path)
-                path.append(cur)
-                nxt = graph.successor_via(cur, pid)
-                if nxt is None:
-                    # No p-edge: p is halted or crashed here — the solo
-                    # run has settled.
-                    terminates.update(path)
-                    break
-                cur = nxt
+    found = find_solo_livelock(
+        len(graph), graph.offsets, graph.pids, graph.dsts, instance.pid_order
+    )
+    if found is not None:
+        return _of_violation(instance, graph, *found)
     live_counts = sorted(
-        {len(_live_pids(instance, state)) for state in nodes.values()}
+        {bin(mask).count("1") for mask in set(_node_masks(graph, instance, _is_live))}
     )
     return LivenessVerdict(
         kind="obstruction-freedom",
@@ -460,13 +660,13 @@ def _of_violation(
     instance: StepInstance,
     graph: StateGraph,
     pid: ProcessId,
-    entry: NodeKey,
+    entry: int,
     cycle_len: int,
 ) -> LivenessVerdict:
     prefix = graph.path_to(entry)
     cycle = (pid,) * cycle_len
-    entry_state = graph.nodes[entry]
-    state = _replay(instance, graph.nodes[graph.initial], prefix)
+    entry_state = graph.state(entry)
+    state = _replay(instance, graph.state(graph.initial), prefix)
     if state != entry_state:
         raise RuntimeError(
             "internal error: solo-livelock prefix does not replay to the "

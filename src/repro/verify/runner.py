@@ -81,7 +81,8 @@ class VerificationReport:
     instance: str
     exploration: ExplorationResult
     outcomes: Tuple[PropertyOutcome, ...] = ()
-    #: Wall seconds of the graph-retaining exploration walk.
+    #: Wall seconds of the graph-retaining exploration walk, graph
+    #: packaging included.
     explore_seconds: float = 0.0
     #: Wall seconds of the liveness analyses over the retained graph.
     verify_seconds: float = 0.0
@@ -259,9 +260,11 @@ def verify_manifest(
             "verdict": "verified" if report.ok else "failed",
             "instance": instance.label,
             "states": exploration.states_explored,
+            "events": exploration.events_executed,
             "retained_edges": report.retained_edges,
             "explore_seconds": report.explore_seconds,
             "verify_seconds": report.verify_seconds,
+            "wall_seconds": report.explore_seconds + report.verify_seconds,
             "safety": exploration.summary(),
             "properties": properties,
         },

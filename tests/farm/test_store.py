@@ -69,25 +69,29 @@ class TestReadApi:
         assert len(disk) == len(graph)
         assert disk.edge_count == graph.edge_count
         assert disk.complete is True
-        assert disk.initial == graph.initial
+        assert disk.initial == graph.key(graph.initial)
 
     def test_iter_nodes_is_sorted_and_equal(self, graph, disk):
-        assert list(disk.iter_nodes()) == sorted(graph.nodes)
+        keys = [graph.key(node) for node in range(len(graph))]
+        assert list(disk.iter_nodes()) == sorted(keys)
 
     def test_successors_agree_on_every_node(self, graph, disk):
-        for key in graph.iter_nodes():
-            assert disk.successors(key) == graph.successors(key)
+        for node in range(len(graph)):
+            assert disk.successors(graph.key(node)) == tuple(
+                (pid, graph.key(dst)) for pid, dst in graph.successors(node)
+            )
 
     def test_successors_of_unknown_key_empty(self, disk, graph):
-        assert disk.successors(b"\x00" * len(graph.initial)) == ()
+        assert disk.successors(b"\x00" * len(graph.key(0))) == ()
 
     def test_contains(self, graph, disk):
-        assert graph.initial in disk
-        assert b"\xff" * len(graph.initial) not in disk
+        assert graph.key(graph.initial) in disk
+        assert b"\xff" * len(graph.key(0)) not in disk
 
     def test_expanded_flags(self, graph, disk):
-        for key in graph.iter_nodes():
-            assert disk.expanded(key) == (key in graph.edges)
+        flags = graph.expanded()
+        for node in range(len(graph)):
+            assert disk.expanded(graph.key(node)) == bool(flags[node])
 
 
 class TestWriterContract:
@@ -99,10 +103,19 @@ class TestWriterContract:
 
     def test_non_contiguous_edges_rejected(self, tmp_path):
         writer = DiskGraphWriter(tmp_path / "s", key_len=1)
-        writer.add_edge(b"a", 11, b"b")
-        writer.add_edge(b"b", 11, b"a")
+        a, b = writer.add_node(b"a"), writer.add_node(b"b")
+        writer.add_edge(a, 11, b)
+        writer.add_edge(b, 11, a)
         with pytest.raises(FarmError, match="non-contiguously"):
-            writer.add_edge(b"a", 13, b"b")
+            writer.add_edge(a, 13, b)
+
+    def test_edges_between_unknown_ordinals_rejected(self, tmp_path):
+        writer = DiskGraphWriter(tmp_path / "s", key_len=1)
+        a = writer.add_node(b"a")
+        with pytest.raises(FarmError, match="never added"):
+            writer.add_edge(a, 11, 1)
+        with pytest.raises(FarmError, match="never added"):
+            writer.expand(-1)
 
     def test_finalize_requires_known_initial(self, tmp_path):
         writer = DiskGraphWriter(tmp_path / "s", key_len=1)
@@ -127,8 +140,7 @@ class TestWriterContract:
 
     def test_single_node_graph(self, tmp_path):
         writer = DiskGraphWriter(tmp_path / "s", key_len=2)
-        writer.add_node(b"aa")
-        writer.mark_expanded(b"aa")  # terminal but expanded
+        writer.expand(writer.add_node(b"aa"))  # terminal but expanded
         writer.finalize(b"aa", complete=True)
         with load_state_graph(tmp_path / "s") as handle:
             assert len(handle) == 1

@@ -5,7 +5,6 @@ import pytest
 
 from repro.fuzz.engine import run_fuzz
 from repro.fuzz.shrink import (
-    CsPredicates,
     _ddmin,
     _minimal_repeating_unit,
     cycle_is_df_violation,
@@ -17,6 +16,7 @@ from repro.fuzz.shrink import (
 from repro.problems import get_problem
 from repro.request import RunRequest
 from repro.runtime.kernel import StepInstance
+from repro.verify.liveness import CsLabels
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +72,7 @@ class TestMinimalRepeatingUnit:
 class TestOracles:
     def test_cs_predicates_supported_on_mutex_automata(self, mutant):
         _, _, instance, _ = mutant
-        assert CsPredicates(instance).supported
+        assert CsLabels(instance).supported
 
     def test_replay_values_walks_a_feasible_schedule(self, mutant):
         _, _, instance, initial = mutant
@@ -86,12 +86,12 @@ class TestOracles:
 
     def test_df_oracle_rejects_unfair_and_empty_cycles(self, mutant):
         _, _, instance, initial = mutant
-        predicates = CsPredicates(instance)
-        assert not cycle_is_df_violation(instance, initial, (), predicates)
+        labels = CsLabels(instance)
+        assert not cycle_is_df_violation(instance, initial, (), labels)
         # a one-pid cycle cannot be fair with two live processes
         pid = instance.pid_order[0]
         assert not cycle_is_df_violation(
-            instance, initial, (pid, pid), predicates
+            instance, initial, (pid, pid), labels
         )
 
     def test_of_oracle_requires_a_single_pid(self, mutant):
@@ -119,28 +119,28 @@ class TestShrinkLasso:
 
     def test_shrunk_lasso_still_violates(self, mutant, raw_violation):
         _, _, instance, initial = mutant
-        predicates = CsPredicates(instance)
+        labels = CsLabels(instance)
         prefix, cycle = shrink_lasso(
             instance, initial,
             raw_violation.prefix, raw_violation.cycle,
-            raw_violation.kind, predicates,
+            raw_violation.kind, labels,
         )
         assert len(cycle) <= len(raw_violation.cycle)
         assert len(prefix) <= len(raw_violation.prefix)
         entry = replay_values(instance, initial, prefix)
         assert entry is not None
-        assert cycle_is_df_violation(instance, entry, cycle, predicates)
+        assert cycle_is_df_violation(instance, entry, cycle, labels)
 
     def test_shrinking_is_idempotent(self, mutant, raw_violation):
         _, _, instance, initial = mutant
-        predicates = CsPredicates(instance)
+        labels = CsLabels(instance)
         once = shrink_lasso(
             instance, initial,
             raw_violation.prefix, raw_violation.cycle,
-            raw_violation.kind, predicates,
+            raw_violation.kind, labels,
         )
         twice = shrink_lasso(
             instance, initial, once[0], once[1],
-            raw_violation.kind, predicates,
+            raw_violation.kind, labels,
         )
         assert twice == once

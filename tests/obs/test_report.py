@@ -1,5 +1,7 @@
 """Tests for the manifest report renderer and its CLI entry."""
 
+import re
+
 from repro.obs import RunManifest, Telemetry, render_report, write_manifests_ndjson
 from repro.obs.report import report_main
 
@@ -53,6 +55,30 @@ class TestRenderReport:
         table = render_report([make_manifest(telemetry=tel.snapshot())])
         assert "interned" in table
         assert "39+39 / 3" in table
+
+    def test_verify_rows_fill_events_and_wall_seconds(self):
+        from repro.problems import get_problem
+        from repro.verify import verify_instance, verify_manifest
+
+        spec = get_problem("figure-1-mutex")
+        instance = spec.instance("figure-1-mutex(m=3)")
+        report = verify_instance(spec, instance)
+        manifest = verify_manifest(spec, instance, report)
+        assert manifest.outcome["events"] == report.exploration.events_executed
+        assert manifest.outcome["wall_seconds"] == (
+            report.explore_seconds + report.verify_seconds
+        )
+        lines = render_report([manifest]).splitlines()
+        dashes = next(
+            i for i, line in enumerate(lines) if set(line) <= {"-", " "}
+        )
+        spans = [m.span() for m in re.finditer(r"-+", lines[dashes])]
+        header = [lines[dashes - 1][a:b].strip() for a, b in spans]
+        (row,) = lines[dashes + 1 :]
+        cells = dict(zip(header, (row[a:b].strip() for a, b in spans)))
+        assert cells["kind"] == "verify"
+        assert cells["events"] == str(report.exploration.events_executed)
+        assert cells["wall s"] != ""
 
     def test_missing_outcome_numbers_render_blank(self):
         table = render_report(

@@ -428,7 +428,7 @@ class TestLaziness:
             max_depth=budget,
         )
         assert walker.complete
-        visited = oracle.graph.nodes.values()
+        visited = [oracle.graph.state(i) for i in range(len(oracle.graph))]
         per_slot = tuple(
             len({locals_part[slot][1] for _, locals_part in visited})
             for slot in range(2)

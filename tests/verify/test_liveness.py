@@ -79,6 +79,13 @@ class TestIncompleteGraphsAreRefused:
         with pytest.raises(VerificationError, match="truncated"):
             check_obstruction_freedom(step, result.graph)
 
+    def test_deadlock_freedom_needs_mutex_style_automata(self):
+        _, _, result, step = _graph_and_step(
+            "figure-2-consensus", "figure-2-consensus(n=2)"
+        )
+        with pytest.raises(VerificationError, match="mutex-style automata"):
+            check_deadlock_freedom(step, result.graph)
+
     def test_verify_instance_raises_when_the_budget_is_too_small(self):
         spec = get_problem("figure-1-mutex")
         instance = spec.instance("figure-1-mutex(m=3)")
@@ -113,13 +120,13 @@ class TestMutantCounterexample:
         lasso = report.outcomes[0].verdict.lasso
         graph = report.exploration.graph
         step = StepInstance.from_system(spec.system(instance))
-        state = graph.nodes[graph.initial]
+        state = graph.state(graph.initial)
         for pid in lasso.prefix:
             state = step_value(step, state, pid)
-        assert state == graph.nodes[lasso.entry]
+        assert state == graph.state(lasso.entry)
         for pid in lasso.cycle:
             state = step_value(step, state, pid)
-        assert state == graph.nodes[lasso.entry]  # the cycle closes
+        assert state == graph.state(lasso.entry)  # the cycle closes
 
     def test_lasso_cycle_is_fair_and_never_enters_the_critical_section(
         self, mutant_report
