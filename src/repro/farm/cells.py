@@ -199,49 +199,22 @@ def grid_cells(config: Dict[str, Any]) -> List[Cell]:
 
 # -- execution ---------------------------------------------------------
 
-def _flatten_invariants(invariant) -> List[Any]:
-    from repro.runtime.exploration import _ConjoinedInvariant
-
-    if isinstance(invariant, _ConjoinedInvariant):
-        return [
-            flat
-            for inner in invariant.invariants
-            for flat in _flatten_invariants(inner)
-        ]
-    return [invariant]
-
-
 def default_checkers(spec, inputs) -> List[Any]:
     """Trace checkers matching a spec's declared safety invariant.
 
     Safety only: liveness checkers presume schedules that grant solo
     opportunities, which arbitrary grid adversaries do not — exhaustive
     liveness belongs to the farm's verify cells, where it needs no
-    adversary sampling at all.  Specs with invariants outside the stock
-    four check nothing here (the run still records metrics/outputs).
+    adversary sampling at all.  The declaration names its own checkers
+    (:meth:`~repro.runtime.invariants.StateInvariant.trace_checkers`);
+    a spec whose invariant is undeclared or absent checks nothing here
+    (the run still records metrics/outputs).
     """
-    from repro.runtime.exploration import (
-        agreement_invariant,
-        mutual_exclusion_invariant,
-        unique_names_invariant,
-        validity_invariant,
-    )
-    from repro.spec.consensus_spec import AgreementChecker, ValidityChecker
-    from repro.spec.mutex_spec import MutualExclusionChecker
-    from repro.spec.renaming_spec import NameRangeChecker, UniqueNamesChecker
+    from repro.runtime.invariants import StateInvariant
 
-    checkers: List[Any] = []
-    for invariant in _flatten_invariants(spec.invariant):
-        if invariant is mutual_exclusion_invariant:
-            checkers.append(MutualExclusionChecker())
-        elif invariant is agreement_invariant:
-            checkers.append(AgreementChecker())
-        elif invariant is validity_invariant:
-            checkers.append(ValidityChecker(inputs))
-        elif invariant is unique_names_invariant:
-            checkers.append(UniqueNamesChecker())
-            checkers.append(NameRangeChecker(bound=len(list(inputs))))
-    return checkers
+    if isinstance(spec.invariant, StateInvariant):
+        return spec.invariant.trace_checkers(inputs)
+    return []
 
 
 def _run_cell_result(spec, params: Dict[str, Any], cell: Cell,

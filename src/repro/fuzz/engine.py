@@ -247,11 +247,7 @@ class _CompiledStepper:
         self.instance = instance
         self.program = program
         self.initial = program.initial_packed
-        self._checker = (
-            compile_checker(invariant, program)
-            if invariant is not None
-            else None
-        )
+        self.check = compile_checker(invariant, program)
 
     def step(self, packed: Tuple[int, ...], pid: ProcessId) -> Tuple[int, ...]:
         return self.program.step_packed(
@@ -265,11 +261,6 @@ class _CompiledStepper:
             for pid, slot, offset in self.program.step_order
             if live[slot][packed[offset]]
         )
-
-    def check(self, packed: Tuple[int, ...]) -> Optional[str]:
-        if self._checker is None:
-            return None
-        return self._checker(packed)
 
     def pending_physical(
         self, packed: Tuple[int, ...], pid: ProcessId

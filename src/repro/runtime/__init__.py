@@ -13,6 +13,8 @@ The runtime realises the paper's computation model (§2, §6.1):
   lower-bound proofs are built from;
 * :mod:`repro.runtime.system` — one-call assembly of a runnable instance;
 * :mod:`repro.runtime.exploration` — bounded exhaustive model checking;
+* :mod:`repro.runtime.invariants` — the safety invariants it checks,
+  each declared once;
 * :mod:`repro.runtime.replay` — trace serialisation and strict replay;
 * :mod:`repro.runtime.threads` — real-thread backend with lock-guarded
   registers.
@@ -41,11 +43,11 @@ from repro.runtime.events import (
     Trace,
     subsequence_equal,
 )
-from repro.runtime.exploration import (
-    ExplorationResult,
+from repro.runtime.exploration import ExplorationResult, explore
+from repro.runtime.invariants import (
+    StateInvariant,
     agreement_invariant,
     conjoin,
-    explore,
     mutual_exclusion_invariant,
     unique_names_invariant,
     validity_invariant,
@@ -98,6 +100,7 @@ __all__ = [
     "subsequence_equal",
     "ExplorationResult",
     "explore",
+    "StateInvariant",
     "conjoin",
     "mutual_exclusion_invariant",
     "agreement_invariant",

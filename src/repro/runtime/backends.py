@@ -76,7 +76,8 @@ class ExplorationTask:
 
     instance: StepInstance
     initial: GlobalState
-    invariant: Invariant
+    #: ``None`` checks no safety invariant.
+    invariant: Optional[Invariant]
     canonicalizer: Canonicalizer
     max_states: int
     max_depth: int
@@ -205,12 +206,13 @@ class SerialBackend:
                     depth=depth,
                 )
 
-            violation = invariant(StateView(instance, state))
-            if violation is not None:
-                result.violation = violation
-                result.violation_schedule = unwind(link)
-                result.truncated_by = "violation"
-                break
+            if invariant is not None:
+                violation = invariant(StateView(instance, state))
+                if violation is not None:
+                    result.violation = violation
+                    result.violation_schedule = unwind(link)
+                    result.truncated_by = "violation"
+                    break
 
             enabled = enabled_pids(instance, state)
             if not enabled:

@@ -18,7 +18,7 @@ it in dense integer tables, filled the first time the walk needs them:
    first time the walk produces it, and fills in the same call every
    per-state table: ``halted``/``live``, the state's digest-table
    entries (:class:`~repro.runtime.canonical.PackedDigestTables`) and
-   its suspect facts (see below).  :meth:`~CompiledProgram.intern_value`
+   its invariant flags (see below).  :meth:`~CompiledProgram.intern_value`
    does the same for a register value.  A state's transition entries —
    ``kind[s][si]`` (LOCAL / READ / WRITE / HALTED / NEW), ``arg[s][si]``
    (physical register index), ``write_value[s][si]``,
@@ -54,16 +54,20 @@ at which the interpreter calls them, so a hook that raises propagates
 its genuine exception from the same step; no table entry is written for
 it, and a later attempt raises again (the automata are deterministic).
 
-**Invariants** are handled by *suspect facts*: for the stock invariants
-a per-(slot, local-state) fact decides suspicion with a few integer
-lookups, and only suspected states are unpacked and handed to the real
-invariant — so violation messages are byte-identical by construction.
-The one documented ``except Exception`` in this module is the fact hook
-case: an ``in_critical_section``/``output`` hook that raises marks its
-local state suspect, so the real invariant re-raises the genuine
-exception when it checks a state holding it.  Unknown invariants are
+**Invariants** declared as
+:class:`~repro.runtime.invariants.StateInvariant` get one flag table
+derived from their ``fact``/``verdict`` pair: per (slot, local state),
+whether the process contributes a fact and whether that fact alone
+already fails.  The per-state check is then a few integer lookups, and
+only a state where two facts meet or one fails alone is unpacked and
+handed to the real invariant — so violation messages are byte-identical
+by construction.  The one documented ``except Exception`` in this module
+is in that flag computation: a ``fact`` or ``verdict`` hook that raises
+flags its local state, so the real invariant re-raises the genuine
+exception when it checks a state holding it.  Undeclared invariants are
 evaluated on every state over an unpacked
-:class:`~repro.runtime.kernel.StateView` (slow but exact).
+:class:`~repro.runtime.kernel.StateView` (slow but exact); ``None``
+checks nothing.
 """
 
 from __future__ import annotations
@@ -81,6 +85,7 @@ from repro.runtime.canonical import (
     TrivialCanonicalizer,
 )
 from repro.runtime.exploration import ExplorationResult
+from repro.runtime.invariants import StateInvariant
 from repro.runtime.kernel import (
     GlobalState,
     StateView,
@@ -354,222 +359,86 @@ class CompiledProgram:
 
 # -- invariant compilation ---------------------------------------------
 #
-# A *suspect function* maps a packed state to "might the invariant
-# return non-None here?".  It must never report False on a state the
-# interpreted invariant would flag (false negatives are unsound); a
-# False positive merely costs one unpack + real-invariant call that
-# returns None.  The fact tables below are exact on every interned
-# state, so both directions hold.  A fact hook that raises marks its
-# local state suspect, so the real invariant meets (and re-raises) the
-# genuine exception on every state holding it.
-
-_SKIP = object()  # slot not decided (not halted, or output is None)
-_SUSPECT = object()  # a fact hook raised: always hand the state over
+# A declared invariant gets one flag table: per (slot, local state), 0
+# when the process contributes no fact, 1 when its fact's verdict alone
+# is None, 2 when that verdict alone is a violation or a hook raised (or
+# when even the verdict over no facts fails).  A state whose flags sum
+# to at most 1 holds at most one fact, whose verdict was None on its
+# own, so it is fine; every other state is *suspect* and is unpacked
+# and handed to the real invariant, so its message — or the exception a
+# raising hook propagates — is exactly the interpreted one.  Only the
+# flag computation catches exceptions: the one documented ``except``.
 
 
-def _always_suspect(_packed: PackedState) -> bool:
-    """Generic fallback: treat every state as suspect (evaluate the
-    real invariant on all of them — slow but trivially exact)."""
-    return True
-
-
-def _output_fact(program: CompiledProgram) -> FactFn:
-    """Per (slot, local state): the decided non-None output, ``_SKIP``,
-    or ``_SUSPECT`` when ``output`` raises or returns an unhashable
-    value (the stock invariants build sets of outputs, so the
-    interpreted invariant raises there)."""
+def _flag_table(
+    invariant: StateInvariant, program: CompiledProgram
+) -> List[List[int]]:
+    inputs = program.instance.inputs
+    slots = program.slots
     autos = program.autos
 
-    def fact(slot: int, local: Any, halted: bool) -> Any:
-        if not halted:
-            return _SKIP
+    def flag(slot: int, local: Any, halted: bool) -> int:
         try:
-            out = autos[slot].output(local)
-            hash(out)
-        except Exception:  # noqa: BLE001 - the invariant re-raises it
-            return _SUSPECT
-        return _SKIP if out is None else out
-
-    return fact
-
-
-def _mutex_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect when ≥ 2 non-halted processes sit in the critical section.
-
-    Facts are 0 (outside), 1 (inside) or 2 (the hook raised), so a sum
-    above 1 is two processes inside, or a raising hook to hand over.
-    """
-    in_cs = [
-        getattr(auto, "in_critical_section", None) for auto in program.autos
-    ]
-    if any(hook is None for hook in in_cs):
-        return None
-
-    def fact(slot: int, local: Any, halted: bool) -> int:
-        if halted:
-            return 0
-        try:
-            return 1 if in_cs[slot](local) else 0  # type: ignore[misc]
-        except Exception:  # noqa: BLE001 - the invariant re-raises it
+            fact = invariant.fact(autos[slot], local, halted)
+            facts = {} if fact is None else {slots[slot]: fact}
+            if invariant.verdict(facts, inputs) is not None:
+                return 2
+        except Exception:  # noqa: BLE001 - the real invariant re-raises it
             return 2
+        return 1 if facts else 0
 
+    return program.add_facts(flag)
+
+
+def _checker_pair(
+    invariant: Optional[Invariant], program: CompiledProgram
+) -> Tuple[Callable[[PackedState], bool], Callable[[PackedState], Optional[str]]]:
+    """The packed check as ``(suspect, slow)``: ``slow`` runs the real
+    invariant on an unpacked state, and only where ``suspect`` says so.
+
+    No invariant is never suspect; an undeclared one is always suspect
+    (slow but exact); a declared one is suspect where its flags sum
+    above 1.
+    """
+    if invariant is None:
+        return (lambda packed: False), (lambda packed: None)
+    check = invariant
+    instance = program.instance
+    unpack = program.unpack
+
+    def slow(packed: PackedState) -> Optional[str]:
+        return check(StateView(instance, unpack(packed)))
+
+    if not isinstance(invariant, StateInvariant):
+        return (lambda packed: True), slow
     m = program.m
-    offs = [(m + slot, row) for slot, row in enumerate(program.add_facts(fact))]
+    offs = [(m + slot, row) for slot, row in enumerate(_flag_table(invariant, program))]
     if len(offs) == 2:
         (off_a, row_a), (off_b, row_b) = offs
 
         def pair(packed: PackedState) -> bool:
             return row_a[packed[off_a]] + row_b[packed[off_b]] > 1
 
-        return pair
+        return pair, slow
 
     def suspect(packed: PackedState) -> bool:
-        count = 0
+        total = 0
         for off, row in offs:
-            count += row[packed[off]]
-        return count > 1
+            total += row[packed[off]]
+        return total > 1
 
-    return suspect
-
-
-def _agreement_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect when two decided outputs are distinct (set semantics)."""
-    m = program.m
-    offs = [
-        (m + slot, row)
-        for slot, row in enumerate(program.add_facts(_output_fact(program)))
-    ]
-
-    def suspect(packed: PackedState) -> bool:
-        decided = []
-        for off, row in offs:
-            value = row[packed[off]]
-            if value is _SUSPECT:
-                return True
-            if value is not _SKIP:
-                decided.append(value)
-        return len(decided) > 1 and len(set(decided)) > 1
-
-    return suspect
-
-
-def _validity_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect when a decided output is not one of the instance inputs."""
-    try:
-        legal = set(program.instance.inputs.values())
-    except TypeError:
-        return None
-    output = _output_fact(program)
-
-    def fact(slot: int, local: Any, halted: bool) -> bool:
-        value = output(slot, local, halted)
-        # Hashable by construction (the output fact checked it).
-        return value is _SUSPECT or (value is not _SKIP and value not in legal)
-
-    m = program.m
-    offs = [
-        (m + slot, row) for slot, row in enumerate(program.add_facts(fact))
-    ]
-
-    def suspect(packed: PackedState) -> bool:
-        return any(row[packed[off]] for off, row in offs)
-
-    return suspect
-
-
-def _unique_names_suspect(
-    program: CompiledProgram,
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect on duplicate names or a name outside ``1..n``."""
-    n = len(program.instance.inputs)
-    output = _output_fact(program)
-
-    def fact(slot: int, local: Any, halted: bool) -> Any:
-        name = output(slot, local, halted)
-        if name is _SKIP or name is _SUSPECT:
-            return name
-        try:
-            in_range = 1 <= name <= n
-        except Exception:  # noqa: BLE001 - the invariant re-raises it
-            return _SUSPECT
-        return name if in_range else _SUSPECT
-
-    m = program.m
-    offs = [
-        (m + slot, row) for slot, row in enumerate(program.add_facts(fact))
-    ]
-
-    def suspect(packed: PackedState) -> bool:
-        names: List[Any] = []
-        for off, row in offs:
-            name = row[packed[off]]
-            if name is _SUSPECT:
-                return True
-            if name is not _SKIP:
-                names.append(name)
-        return len(names) > 1 and len(set(names)) != len(names)
-
-    return suspect
-
-
-def _compile_suspect(
-    invariant: Invariant, program: CompiledProgram
-) -> Optional[Callable[[PackedState], bool]]:
-    """Suspect function for a known invariant, or None to go generic."""
-    from repro.runtime import exploration as _exploration
-    from repro.verify.runner import _no_invariant
-
-    if invariant is _no_invariant:
-        return lambda packed: False
-    if invariant is _exploration.mutual_exclusion_invariant:
-        return _mutex_suspect(program)
-    if invariant is _exploration.agreement_invariant:
-        return _agreement_suspect(program)
-    if invariant is _exploration.validity_invariant:
-        return _validity_suspect(program)
-    if invariant is _exploration.unique_names_invariant:
-        return _unique_names_suspect(program)
-    if isinstance(invariant, _exploration._ConjoinedInvariant):
-        subs = [
-            _compile_suspect(sub, program) for sub in invariant.invariants
-        ]
-        if any(sub is None for sub in subs):
-            return None
-
-        def conjoined(packed: PackedState) -> bool:
-            for sub in subs:
-                if sub(packed):  # type: ignore[misc]
-                    return True
-            return False
-
-        return conjoined
-    return None
+    return suspect, slow
 
 
 def compile_checker(
-    invariant: Invariant, program: CompiledProgram
+    invariant: Optional[Invariant], program: CompiledProgram
 ) -> Callable[[PackedState], Optional[str]]:
-    """Packed-state invariant checker, message-identical to ``invariant``.
-
-    Suspected states (and, on the generic path, every state) are
-    unpacked and handed to the real invariant over a ``StateView``, so
-    the returned violation string — or raised exception — is exactly
-    the interpreted one.
-    """
-    suspect = _compile_suspect(invariant, program) or _always_suspect
-    instance = program.instance
-    unpack = program.unpack
+    """Packed-state invariant checker, message-identical to ``invariant``
+    (``None`` checks nothing)."""
+    suspect, slow = _checker_pair(invariant, program)
 
     def check(packed: PackedState) -> Optional[str]:
-        if suspect(packed):
-            return invariant(StateView(instance, unpack(packed)))
-        return None
+        return slow(packed) if suspect(packed) else None
 
     return check
 
@@ -669,14 +538,7 @@ class CompiledBackend:
             task.initial,
             canonicalizer=None if trivial else task.canonicalizer,
         )
-        suspect = _compile_suspect(task.invariant, program) or _always_suspect
-        invariant = task.invariant
-        instance = task.instance
-        unpack = program.unpack
-
-        def slow(packed: PackedState) -> Optional[str]:
-            return invariant(StateView(instance, unpack(packed)))
-
+        suspect, slow = _checker_pair(task.invariant, program)
         recorder = None
         if task.retain_graph:
             # Imported lazily: repro.verify sits above the runtime layer.

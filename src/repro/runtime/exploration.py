@@ -37,6 +37,13 @@ from repro.runtime.canonical import (
     TrivialCanonicalizer,
     build_canonicalizer,
 )
+from repro.runtime.invariants import (  # noqa: F401 - re-exported
+    agreement_invariant,
+    conjoin,
+    mutual_exclusion_invariant,
+    unique_names_invariant,
+    validity_invariant,
+)
 from repro.runtime.system import System
 from repro.types import ProcessId
 
@@ -50,7 +57,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends
 #: :class:`~repro.runtime.kernel.StateView`, which exposes the same
 #: duck-typed read surface) in the state under check and returns ``None``
 #: if the state is fine, or a human-readable description of the
-#: violation.
+#: violation.  The stock ones are
+#: :class:`~repro.runtime.invariants.StateInvariant` declarations.
 Invariant = Callable[[System], Optional[str]]
 
 
@@ -164,7 +172,7 @@ class ExplorationResult:
 
 def explore(
     system: System,
-    invariant: Invariant,
+    invariant: Optional[Invariant],
     max_states: int = 500_000,
     max_depth: int = 10_000,
     raise_on_truncation: bool = False,
@@ -200,9 +208,10 @@ def explore(
         Checked in every reached representative state; the first
         violation stops the search and is reported with a reproducing
         schedule (replayable from the initial state, e.g. via
-        :func:`repro.runtime.replay.replay_schedule`).  With symmetry
-        reduction active the invariant must be symmetric — indifferent
-        to the renamings the group applies (all stock invariants are).
+        :func:`repro.runtime.replay.replay_schedule`).  ``None`` checks
+        no safety invariant.  With symmetry reduction active the
+        invariant must be symmetric — indifferent to the renamings the
+        group applies (all stock invariants are).
     max_states / max_depth:
         Search budgets.  Hitting ``max_states`` stops the walk
         immediately; hitting ``max_depth`` prunes deeper exploration
@@ -360,85 +369,3 @@ def explore(
             f"{result.states_explored} states visited"
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# Stock invariants
-# ---------------------------------------------------------------------------
-
-
-def mutual_exclusion_invariant(system: System) -> Optional[str]:
-    """At most one process inside its critical section.
-
-    Requires the automata to expose ``in_critical_section(state)`` (all
-    mutex automata in this library do, via
-    :class:`repro.core.mutex.MutexAutomatonMixin`).
-    """
-    inside = [
-        pid
-        for pid, rt in system.scheduler.runtimes()
-        if not rt.halted and rt.automaton.in_critical_section(rt.state)
-    ]
-    if len(inside) > 1:
-        return f"processes {inside} are in the critical section simultaneously"
-    return None
-
-
-def agreement_invariant(system: System) -> Optional[str]:
-    """All halted processes decided the same value."""
-    outputs = system.scheduler.outputs()
-    decided = {pid: out for pid, out in outputs.items() if out is not None}
-    if len(set(decided.values())) > 1:
-        return f"conflicting decisions: {decided}"
-    return None
-
-
-def validity_invariant(system: System) -> Optional[str]:
-    """Every decision equals some participant's input."""
-    legal = set(system.inputs.values())
-    outputs = system.scheduler.outputs()
-    for pid, out in outputs.items():
-        if out is not None and out not in legal:
-            return f"process {pid} decided {out!r}, not an input ({legal})"
-    return None
-
-
-def unique_names_invariant(system: System) -> Optional[str]:
-    """No two halted processes hold the same new name, and all names are
-    within ``{1..n}``."""
-    outputs = {
-        pid: out for pid, out in system.scheduler.outputs().items() if out is not None
-    }
-    names = list(outputs.values())
-    if len(set(names)) != len(names):
-        return f"duplicate names acquired: {outputs}"
-    n = len(system.inputs)
-    bad = {pid: name for pid, name in outputs.items() if not 1 <= name <= n}
-    if bad:
-        return f"names outside 1..{n}: {bad}"
-    return None
-
-
-class _ConjoinedInvariant:
-    """Conjunction of invariants; reports the first violation among them.
-
-    A class, not a closure, so conjoined invariants are picklable and
-    the packed walker can see through them to their members.
-    """
-
-    __slots__ = ("invariants",)
-
-    def __init__(self, invariants: Tuple[Invariant, ...]) -> None:
-        self.invariants = invariants
-
-    def __call__(self, system: System) -> Optional[str]:
-        for inv in self.invariants:
-            message = inv(system)
-            if message is not None:
-                return message
-        return None
-
-
-def conjoin(*invariants: Invariant) -> Invariant:
-    """Combine invariants; reports the first violation among them."""
-    return _ConjoinedInvariant(invariants)

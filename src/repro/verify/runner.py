@@ -40,14 +40,6 @@ from repro.runtime.exploration import ExplorationResult, explore
 from repro.runtime.kernel import StepInstance
 from repro.verify.liveness import LIVENESS_CHECKERS, LivenessVerdict
 
-def _no_invariant(system: Any) -> Optional[str]:
-    """Stand-in safety invariant for specs that declare none.
-
-    A module-level function (not a lambda) so the packed walker can
-    recognise it and skip the check altogether.
-    """
-    return None
-
 
 @dataclass(frozen=True)
 class PropertyOutcome:
@@ -165,11 +157,10 @@ def verify_instance(
     if telemetry is None:
         telemetry = NULL_TELEMETRY
     system = spec.system(instance)
-    invariant = spec.invariant if spec.invariant is not None else _no_invariant
     budget = max_states if max_states is not None else instance.verify_max_states
     result = explore(
         system,
-        invariant,
+        spec.invariant,
         max_states=budget,
         # A DFS branch can run as deep as the budget allows; make sure
         # the walk is only ever truncated by max_states, never by depth.

@@ -3,8 +3,10 @@
 Every workflow under ``.github/workflows`` must load under a YAML loader
 that rejects duplicate mapping keys — a plain ``safe_load`` keeps the
 last duplicate silently, which is how a dropped job header once merged
-two jobs into one without any error — and every job must say where it
-runs and what it does.
+two jobs into one without any error — every job must say where it
+runs and what it does, and every path the ``ruff`` and ``mypy`` jobs
+name must exist, so a moved or deleted module fails here rather than
+only on the CI runner.
 """
 
 from pathlib import Path
@@ -13,9 +15,8 @@ import pytest
 
 yaml = pytest.importorskip("yaml")
 
-WORKFLOWS = sorted(
-    (Path(__file__).resolve().parents[1] / ".github" / "workflows").glob("*.yml")
-)
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOWS = sorted((ROOT / ".github" / "workflows").glob("*.yml"))
 
 
 class UniqueKeyLoader(yaml.SafeLoader):
@@ -57,3 +58,27 @@ def test_every_job_has_runs_on_and_steps(path):
     for name, job in load(path.read_text())["jobs"].items():
         assert "runs-on" in job, f"{path.name}: job {name!r} has no runs-on"
         assert job.get("steps"), f"{path.name}: job {name!r} has no steps"
+
+
+#: The command words that precede the file list in each checked job.
+TOOL_COMMANDS = {"ruff": ["ruff", "check"], "mypy": ["mypy"]}
+
+
+def named_paths(tool):
+    """Every path the ``tool`` job of ci.yml passes to ``tool``."""
+    job = load((ROOT / ".github" / "workflows" / "ci.yml").read_text())["jobs"][tool]
+    command = TOOL_COMMANDS[tool]
+    paths = []
+    for step in job["steps"]:
+        words = step.get("run", "").split()
+        if words[: len(command)] == command:
+            paths.extend(w for w in words[len(command):] if not w.startswith("-"))
+    return paths
+
+
+@pytest.mark.parametrize("tool", sorted(TOOL_COMMANDS))
+def test_every_path_the_linters_name_exists(tool):
+    paths = named_paths(tool)
+    assert paths, f"no {tool} command with a file list in ci.yml"
+    missing = [path for path in paths if not (ROOT / path).exists()]
+    assert not missing, f"ci.yml {tool} job names missing paths: {missing}"

@@ -25,16 +25,11 @@ from repro.verify.graph import GraphRecorder, StateInterner
 from repro.verify.liveness import LIVENESS_CHECKERS
 
 
-def _no_invariant(system):
-    return None
-
-
 def _explore_graph(spec, instance, backend):
     system = spec.system(instance)
-    invariant = spec.invariant if spec.invariant is not None else _no_invariant
     result = explore(
         system,
-        invariant,
+        spec.invariant,
         max_states=instance.verify_max_states,
         max_depth=instance.verify_max_states,
         backend=backend,
