@@ -506,7 +506,8 @@ def _bench_sweep_farm():
     throughput (cells/s over a fresh farm), the fixed cost a
     ``--resume`` cycle adds on an already-complete farm (open the run
     table, reset stale claims, discover nothing pending), and the disk
-    footprint of the verify cell's retained edge array.
+    footprint of the verify cell's retained edge arrays (``pids.bin`` and
+    ``dsts.bin``, 16 bytes per edge).
     """
     import shutil
     import tempfile
@@ -544,7 +545,8 @@ def _bench_sweep_farm():
         resume_seconds = time.perf_counter() - start
         edge_bytes = sum(
             path.stat().st_size
-            for path in (farm / GRAPHS_DIRNAME).rglob("edges.bin")
+            for name in ("pids.bin", "dsts.bin")
+            for path in (farm / GRAPHS_DIRNAME).rglob(name)
         )
         return {
             "grid_cells": cells,

@@ -244,6 +244,9 @@ def cmd_fuzz(rest=()) -> int:
 
 def cmd_sweep(rest=()) -> int:
     """Resumable disk-backed sweep farm (see repro.farm)."""
+    import contextlib
+    import tempfile
+
     from repro.cliflags import add_workers_flag, reject_flag
     from repro.errors import ReproError
     from repro.farm import (
@@ -262,8 +265,8 @@ def cmd_sweep(rest=()) -> int:
         "the registry.  With --out DIR the grid persists as a sqlite "
         "run table workers claim cells from; a killed run restarts with "
         "--resume DIR exactly where it stopped (done cells are never "
-        "re-executed).  Without --out the grid runs in-memory, like "
-        "repro.analysis.experiments.sweep().",
+        "re-executed).  Without --out the same farm runs in a "
+        "temporary directory that is removed afterwards.",
     )
     parser.add_argument("--problem", metavar="KEY",
                         help="problem registry key (e.g. figure-1-mutex)")
@@ -373,22 +376,25 @@ def cmd_sweep(rest=()) -> int:
             }
         except ReproError as exc:
             parser.error(str(exc))
-        if args.out is not None:
-            if is_farm_dir(args.out):
-                parser.error(f"{args.out}: run table already exists; "
-                             "use --resume to continue it")
+        if args.out is None and args.workers > 1:
+            parser.error("--workers needs a shared run table; add --out DIR")
+        if args.out is not None and is_farm_dir(args.out):
+            parser.error(f"{args.out}: run table already exists; "
+                         "use --resume to continue it")
+        with contextlib.ExitStack() as stack:
+            # Without --out the farm lives in a temporary directory for
+            # the length of the run: the same drain, nothing kept.
+            directory = args.out or stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-sweep-")
+            )
             try:
-                count = create_farm(args.out, config)
+                count = create_farm(directory, config)
             except ReproError as exc:
                 parser.error(str(exc))
-            print(f"farm: {count} cell(s) at {args.out}")
-            result = run_farm(args.out, workers=args.workers,
+            if args.out is not None:
+                print(f"farm: {count} cell(s) at {args.out}")
+            result = run_farm(directory, workers=args.workers,
                               max_attempts=args.max_attempts)
-        else:
-            if args.workers > 1:
-                parser.error("--workers needs a shared run table; "
-                             "add --out DIR")
-            result = _sweep_in_memory(config)
 
     print(result.summary())
     violations = sum(
@@ -400,19 +406,6 @@ def cmd_sweep(rest=()) -> int:
     for row in result.errors:
         print(f"[error] cell {row.index}: {row.error}", file=sys.stderr)
     return 1 if result.errors else 0
-
-
-def _sweep_in_memory(config) -> "object":
-    """One-shot sweep over a MemoryRunTable (no farm directory)."""
-    from repro.farm import FarmResult, MemoryRunTable, execute_cell, grid_cells
-
-    table = MemoryRunTable(grid_cells(config))
-    while True:
-        cell = table.claim("cli")
-        if cell is None:
-            break
-        table.finish(cell.index, execute_cell(config, cell, graphs_dir=None))
-    return FarmResult(problem=config["problem"], rows=table.rows())
 
 
 def cmd_experiments() -> int:

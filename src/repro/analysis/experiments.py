@@ -51,22 +51,10 @@ class RunRecord:
 
 @dataclass
 class SweepResult:
-    """All runs of one sweep, with aggregate queries.
-
-    Since the sweep-farm refactor this is a *derived* view: the sweep
-    drains a run table (:mod:`repro.farm.runtable`) and re-derives the
-    ``SweepResult`` from the resulting
-    :class:`~repro.farm.orchestrator.FarmResult` — kept as the stable
-    aggregate API the experiment scripts and benchmark tables consume.
-    The farm-level record (per-cell status/attempts/claims) rides on
-    :attr:`farm` for callers that want it.
-    """
+    """All runs of one sweep, with aggregate queries."""
 
     algorithm: str
     records: List[RunRecord] = field(default_factory=list)
-    #: The run-table view this result was derived from (None only for
-    #: hand-built results in tests).
-    farm: Optional[Any] = field(default=None, repr=False, compare=False)
 
     @property
     def runs(self) -> int:
@@ -191,16 +179,7 @@ def sweep(
     :class:`~repro.obs.manifest.RunManifest` per cell (NDJSON, one line
     per cell) into that directory — the after-the-fact audit record of
     what each cell ran.
-
-    The grid runs over an in-memory run table
-    (:class:`~repro.farm.runtable.MemoryRunTable`) — the same
-    claim/finish protocol the disk-backed sweep farm uses (``python -m
-    repro sweep --out DIR``), batch-claimed so the single-call
-    behaviour is unchanged.  The returned result carries the farm-level
-    view on ``result.farm``.
     """
-    from repro.farm.orchestrator import FarmResult
-    from repro.farm.runtable import Cell, MemoryRunTable
     from repro.runtime.backends import resolve_executor
 
     chosen = resolve_executor(backend if backend is not None else "serial")
@@ -210,30 +189,17 @@ def sweep(
     cells = tuple(
         (naming, adversary) for naming in namings for adversary in adversaries
     )
-    # The in-memory run table: the whole grid is claimed up front and
-    # mapped in one ordered batch — the same claim/finish protocol the
-    # disk farm drains cell-by-cell, collapsed to the historical
-    # single-call behaviour (records bit-identical to the pre-farm
-    # sweep; the executor sees the same map over the same indices).
-    table = MemoryRunTable(
-        [Cell(index=k, kind="run", payload=pair) for k, pair in enumerate(cells)]
-    )
-    claimed = table.claim_all("sweep")
     payload: _SweepPayload = (
         algorithm_factory, inputs, cells, checkers_factory, max_steps,
     )
     with telemetry.phase("sweep.map"):
         records = chosen.map(
             _run_sweep_cell,
-            [cell.index for cell in claimed],
+            list(range(len(cells))),
             initializer=_init_sweep_worker,
             initargs=(payload,),
         )
-    for cell, record in zip(claimed, records):
-        table.finish(cell.index, record)
-    farm = FarmResult(problem=algorithm_factory().name, rows=table.rows())
-    result = farm.to_sweep_result()
-    result.farm = farm
+    result = SweepResult(algorithm=algorithm_factory().name, records=records)
     if telemetry.enabled:
         telemetry.count("sweep.cells", len(records))
         telemetry.count(

@@ -2,12 +2,13 @@
 
 Layers (each its own module, composable separately):
 
-* :mod:`repro.farm.runtable` — the claimable-cell run table (in-memory
-  and sqlite implementations of one claim/finish protocol);
+* :mod:`repro.farm.runtable` — the claimable-cell run table (a sqlite
+  claim/finish protocol);
 * :mod:`repro.farm.cells` — grid materialisation from a JSON config and
   the execution of individual run/verify cells;
-* :mod:`repro.farm.store` — disk-backed StateGraph retention (mmap
-  node/edge arrays, byte-identical ``to_bytes`` to the in-RAM graph);
+* :mod:`repro.farm.store` — disk-backed StateGraph retention (the
+  graph's own CSR arrays, mmapped; byte-identical ``to_bytes`` to the
+  in-RAM graph);
 * :mod:`repro.farm.orchestrator` — create/drain/resume over a farm
   directory, per-worker manifest streams, multi-process draining.
 
@@ -43,12 +44,10 @@ from repro.farm.runtable import (
     STATUSES,
     Cell,
     CellRow,
-    MemoryRunTable,
     SqliteRunTable,
 )
 from repro.farm.store import (
     GRAPHSTORE_SCHEMA,
-    DiskGraphWriter,
     DiskStateGraph,
     graph_store_bytes,
     load_state_graph,
@@ -59,10 +58,8 @@ __all__ = [
     "STATUSES",
     "Cell",
     "CellRow",
-    "MemoryRunTable",
     "SqliteRunTable",
     "GRAPHSTORE_SCHEMA",
-    "DiskGraphWriter",
     "DiskStateGraph",
     "write_state_graph",
     "load_state_graph",

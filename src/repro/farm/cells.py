@@ -34,7 +34,6 @@ Three cell kinds execute here:
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
@@ -287,7 +286,7 @@ def _verify_cell_result(spec, params: Dict[str, Any], config: Dict[str, Any],
         ],
     }
     if graph is not None:
-        result["graph_sha256"] = hashlib.sha256(graph.to_bytes()).hexdigest()
+        result["graph_sha256"] = graph.digest()
         if graph_dir is not None:
             from repro.farm.store import graph_store_bytes, write_state_graph
 
@@ -328,8 +327,7 @@ def execute_cell(
 
     ``graphs_dir`` is the farm's graph-store root; verify cells persist
     their retained StateGraph under ``<graphs_dir>/cell-<index>`` when
-    it is given (disk farms) and skip persistence when it is ``None``
-    (in-memory one-shot sweeps).
+    it is given and skip persistence when it is ``None``.
     """
     from repro.problems import get_problem
 

@@ -26,9 +26,9 @@ Layout.  The graph is integer-indexed throughout:
   ``dsts`` are ``array('q')``: node ``i``'s out-edges are
   ``pids[offsets[i]:offsets[i + 1]]`` / ``dsts[...]`` in scheduler pid
   order.  ``expansion_order`` lists the expanded nodes in the order the
-  walk expanded them (the disk store's edge order); a node missing
-  from it is an unexpanded frontier node of a truncated walk, and an
-  expanded node without edges is terminal.
+  walk expanded them; a node missing from it is an unexpanded frontier
+  node of a truncated walk, and an expanded node without edges is
+  terminal.
 
 Soundness constraints (enforced at the ``explore()`` entrance):
 
@@ -55,12 +55,18 @@ serialisation — nodes sorted by the canonicalizer's raw content key,
 computed lazily, once per node, through ``key_of_state`` — and is
 byte-identical across engines.  The differential tests in
 ``tests/verify/test_graph.py`` pin all of this.
+
+The edge reads and the serialiser live on :class:`CsrGraph`, which the
+farm's disk store (:mod:`repro.farm.store`) shares: it maps these same
+arrays from files, so a stored graph serialises to the same bytes
+through the same code.
 """
 
 from __future__ import annotations
 
+import hashlib
 from array import array
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.runtime.canonical import Canonicalizer
 from repro.runtime.kernel import GlobalState
@@ -73,13 +79,107 @@ Edge = Tuple[ProcessId, int]
 #: ``(pid, local, halted, crashed)``.
 Entry = Tuple[ProcessId, Any, bool, bool]
 
-#: Leading magic of the canonical :meth:`StateGraph.to_bytes` framing.
-#: Public so the disk store (:mod:`repro.farm.store`) can emit the same
-#: serialisation without re-stating the format.
-STATEGRAPH_MAGIC = b"repro.stategraph/v1"
+#: Leading magic of the canonical serialisation (:meth:`CsrGraph.to_bytes`).
+_STATEGRAPH_MAGIC = b"repro.stategraph/v1"
 
 
-class StateGraph:
+class CsrGraph:
+    """The reads every holder of a graph's CSR arrays shares.
+
+    :class:`StateGraph` holds the arrays in RAM; the farm's disk store
+    (:class:`repro.farm.store.DiskStateGraph`) maps the same arrays
+    from files.  Both expose ``complete``, ``offsets``, ``pids``,
+    ``dsts`` and ``expansion_order`` and name each node's raw key
+    through :meth:`_node_keys`; everything below derives from those,
+    including the one ``repro.stategraph/v1`` serialiser.
+    """
+
+    __slots__ = ()
+
+    complete: bool
+    offsets: Sequence[int]
+    pids: Sequence[int]
+    dsts: Sequence[int]
+    expansion_order: Sequence[int]
+
+    #: The initial state's ordinal.
+    initial = 0
+
+    def _node_keys(self) -> Sequence[bytes]:
+        """Every node's raw content key, in node order."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def edge_count(self) -> int:
+        """Recorded edges (one per enabled pid of every expanded node)."""
+        return len(self.dsts)
+
+    def key(self, node: int) -> bytes:
+        """The canonicalizer's raw content key of ``node``'s state."""
+        return self._node_keys()[node]
+
+    def successors(self, node: int) -> Tuple[Edge, ...]:
+        """Outgoing ``(pid, dst)`` edges (empty for terminal or
+        unexpanded nodes)."""
+        start, end = self.offsets[node], self.offsets[node + 1]
+        return tuple(zip(self.pids[start:end], self.dsts[start:end]))
+
+    def expanded(self) -> bytearray:
+        """Per node, 1 if the walk expanded it (terminal nodes included)
+        and 0 for a truncated walk's unexpanded frontier."""
+        flags = bytearray(len(self))
+        for node in self.expansion_order:
+            flags[node] = 1
+        return flags
+
+    # -- canonical serialisation ---------------------------------------
+
+    def _serialised(self) -> Iterator[bytes]:
+        """The ``repro.stategraph/v1`` framing, one chunk per node.
+
+        Nodes are emitted sorted by raw content key, each with its edges
+        in recorded (scheduler pid) order.  Node *states* are not
+        serialised — the key already is the content digest of the
+        state, so two graphs with equal serialisations describe the
+        same transition system.
+        """
+        keys = self._node_keys()
+        offsets, pids, dsts = self.offsets, self.pids, self.dsts
+        yield b"".join((
+            _STATEGRAPH_MAGIC,
+            b"\x01" if self.complete else b"\x00",
+            keys[0],
+            len(keys).to_bytes(8, "big"),
+        ))
+        labels: Dict[int, bytes] = {}
+        for node in sorted(range(len(keys)), key=keys.__getitem__):
+            start, end = offsets[node], offsets[node + 1]
+            chunk = [keys[node], (end - start).to_bytes(4, "big")]
+            for edge in range(start, end):
+                pid = pids[edge]
+                label = labels.get(pid)
+                if label is None:
+                    label = labels[pid] = f"p{pid};".encode("ascii")
+                chunk.append(label)
+                chunk.append(keys[dsts[edge]])
+            yield b"".join(chunk)
+
+    def to_bytes(self) -> bytes:
+        """Canonical serialisation: identical bytes for identical graphs."""
+        return b"".join(self._serialised())
+
+    def digest(self) -> str:
+        """sha256 of :meth:`to_bytes`, streamed chunk by chunk."""
+        digest = hashlib.sha256()
+        for chunk in self._serialised():
+            digest.update(chunk)
+        return digest.hexdigest()
+
+
+class StateGraph(CsrGraph):
     """The explored transition system: packed node rows, CSR edges.
 
     See the module docstring for the layout.  Built by
@@ -101,9 +201,6 @@ class StateGraph:
         "canonicalizer",
         "_keys",
     )
-
-    #: The initial state's ordinal.
-    initial = 0
 
     def __init__(
         self,
@@ -132,14 +229,6 @@ class StateGraph:
         self.canonicalizer = canonicalizer
         self._keys: Optional[List[bytes]] = None
 
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    @property
-    def edge_count(self) -> int:
-        """Recorded edges (one per enabled pid of every expanded node)."""
-        return len(self.dsts)
-
     # -- nodes ---------------------------------------------------------
 
     def state(self, node: int) -> GlobalState:
@@ -162,10 +251,6 @@ class StateGraph:
         index into ``entries[slot]``)."""
         return self.rows[self.m + slot :: self.width]
 
-    def key(self, node: int) -> bytes:
-        """The canonicalizer's raw content key of ``node``'s state."""
-        return self._node_keys()[node]
-
     def _node_keys(self) -> List[bytes]:
         if self._keys is None:
             key_of_state = self.canonicalizer.key_of_state
@@ -175,20 +260,6 @@ class StateGraph:
         return self._keys
 
     # -- edges ---------------------------------------------------------
-
-    def successors(self, node: int) -> Tuple[Edge, ...]:
-        """Outgoing ``(pid, dst)`` edges (empty for terminal or
-        unexpanded nodes)."""
-        start, end = self.offsets[node], self.offsets[node + 1]
-        return tuple(zip(self.pids[start:end], self.dsts[start:end]))
-
-    def expanded(self) -> bytearray:
-        """Per node, 1 if the walk expanded it (terminal nodes included)
-        and 0 for a truncated walk's unexpanded frontier."""
-        flags = bytearray(len(self))
-        for node in self.expansion_order:
-            flags[node] = 1
-        return flags
 
     def path_to(self, target: int) -> Tuple[ProcessId, ...]:
         """A schedule from the initial state to node ``target``.
@@ -201,39 +272,6 @@ class StateGraph:
         system) from the initial state to ``state(target)``.
         """
         return path_between(self.offsets, self.pids, self.dsts, 0, target)
-
-    # -- canonical serialisation ---------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Canonical serialisation: identical bytes for identical graphs.
-
-        Nodes are emitted sorted by raw content key, each with its edges
-        in recorded (scheduler pid) order.  Node *states* are not
-        re-serialised — the key already is the content digest of the
-        state, so two graphs with equal serialisations describe the same
-        transition system.
-        """
-        keys = self._node_keys()
-        offsets, pids, dsts = self.offsets, self.pids, self.dsts
-        labels: Dict[int, bytes] = {}
-        out: List[bytes] = [
-            STATEGRAPH_MAGIC,
-            b"\x01" if self.complete else b"\x00",
-            keys[0],
-            len(keys).to_bytes(8, "big"),
-        ]
-        for node in sorted(range(len(keys)), key=keys.__getitem__):
-            start, end = offsets[node], offsets[node + 1]
-            out.append(keys[node])
-            out.append((end - start).to_bytes(4, "big"))
-            for edge in range(start, end):
-                pid = pids[edge]
-                label = labels.get(pid)
-                if label is None:
-                    label = labels[pid] = f"p{pid};".encode("ascii")
-                out.append(label)
-                out.append(keys[dsts[edge]])
-        return b"".join(out)
 
 
 def path_between(

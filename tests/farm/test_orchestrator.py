@@ -13,7 +13,6 @@ import pytest
 from repro.__main__ import main
 from repro.errors import FarmError
 from repro.farm import (
-    FarmResult,
     create_farm,
     drain_farm,
     farm_result,
@@ -255,29 +254,42 @@ class TestMultiProcess:
             run_farm(tmp_path / "farm", workers=2, fault_injector=lambda c: None)
 
 
-class TestSweepDerivation:
-    def test_sweep_result_re_derived_from_farm_result(self):
+class TestSweepRecords:
+    def test_sweep_records_are_pinned(self):
+        # Pinned records: the ordered map over the grid must reproduce
+        # every cell's run exactly.
         from repro.analysis.experiments import sweep
         from repro.core.mutex import AnonymousMutex
-        from repro.memory.naming import IdentityNaming
-        from repro.runtime.adversary import RandomAdversary
+        from repro.memory.naming import IdentityNaming, RandomNaming
+        from repro.runtime.adversary import RandomAdversary, RoundRobinAdversary
         from repro.spec.mutex_spec import MutualExclusionChecker
 
         result = sweep(
             lambda: AnonymousMutex(m=3, cs_visits=1),
             [11, 13],
-            [IdentityNaming()],
-            [RandomAdversary(1), RandomAdversary(2)],
+            [IdentityNaming(), RandomNaming(1)],
+            [RandomAdversary(1), RandomAdversary(2), RoundRobinAdversary()],
             lambda: [MutualExclusionChecker()],
             max_steps=2_000,
         )
-        assert isinstance(result.farm, FarmResult)
-        assert result.farm.complete
-        assert len(result.farm.rows) == 2
-        assert [row.result for row in result.farm.rows] == result.records
-        rederived = result.farm.to_sweep_result()
-        assert rederived.records == result.records
-        assert rederived.algorithm == result.algorithm
+        assert result.algorithm == AnonymousMutex(m=3, cs_visits=1).name
+        assert result.all_ok
+        assert [
+            (
+                record.naming,
+                record.adversary,
+                record.metrics.total_events,
+                record.metrics.steps_per_process,
+            )
+            for record in result.records
+        ] == [
+            ("IdentityNaming", "RandomAdversary(seed=1)", 72, {11: 27, 13: 45}),
+            ("IdentityNaming", "RandomAdversary(seed=2)", 72, {11: 22, 13: 50}),
+            ("IdentityNaming", "RoundRobinAdversary", 48, {11: 33, 13: 15}),
+            ("RandomNaming(seed=1)", "RandomAdversary(seed=1)", 57, {11: 21, 13: 36}),
+            ("RandomNaming(seed=1)", "RandomAdversary(seed=2)", 67, {11: 40, 13: 27}),
+            ("RandomNaming(seed=1)", "RoundRobinAdversary", 72, {11: 27, 13: 45}),
+        ]
 
 
 class TestSweepCli:
@@ -308,6 +320,22 @@ class TestSweepCli:
         ])
         assert code == 0
         assert "1 done" in capsys.readouterr().out
+
+    def test_in_memory_run_leaves_no_directory_behind(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        code = main([
+            "sweep", "--problem", "figure-1-mutex",
+            "--instance", "figure-1-mutex(m=3)",
+            "--namings", "identity",
+            "--adversaries", "round-robin",
+            "--max-steps", "2000",
+            "--retain-graph",
+        ])
+        assert code == 0
+        assert "2 done" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_refuses_existing_farm(self, tmp_path, capsys):
         out = tmp_path / "farm"

@@ -28,6 +28,16 @@ def make_config(**overrides):
     return config
 
 
+#: A two-cell ``repro sweep`` without ``--out``.
+IN_MEMORY_SWEEP = [
+    "sweep", "--problem", "figure-1-mutex",
+    "--instance", "figure-1-mutex(m=3)",
+    "--namings", "identity",
+    "--adversaries", "random:1,random:2",
+    "--max-steps", "2000",
+]
+
+
 class Transient(RuntimeError):
     """A failure that would succeed on retry (OOM kill, disk hiccup)."""
 
@@ -184,3 +194,21 @@ class TestSweepCliRetry:
         captured = capsys.readouterr().out
         assert "reclaimed 1 cell(s)" in captured
         assert farm_result(farm2).complete
+
+    def test_in_memory_failing_cell_is_an_error_row(self, flaky, capsys):
+        schedule, calls = flaky
+        schedule[1] = 1
+        code = main(IN_MEMORY_SWEEP)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "1 done" in captured.out and "1 error" in captured.out
+        assert "[error] cell 1: Transient" in captured.err
+        assert calls[1] == 1
+
+    def test_in_memory_max_attempts_retries_to_done(self, flaky, capsys):
+        schedule, calls = flaky
+        schedule[1] = 1
+        code = main([*IN_MEMORY_SWEEP, "--max-attempts", "2"])
+        assert code == 0
+        assert "2 done" in capsys.readouterr().out
+        assert calls[1] == 2

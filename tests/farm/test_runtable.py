@@ -1,15 +1,14 @@
-"""Claim-protocol tests for the sweep farm's run tables.
+"""Claim-protocol tests for the sweep farm's sqlite run table.
 
-Both implementations (in-memory and sqlite) must speak the same
-protocol: pending cells are claimed in index order, finish/fail demand
-a prior claim, resume returns only stale claims to pending, and two
-claimants over one sqlite file never hand out the same cell twice.
+Pending cells are claimed in index order, finish/fail demand a prior
+claim, resume returns only stale claims to pending, and two claimants
+over one sqlite file never hand out the same cell twice.
 """
 
 import pytest
 
 from repro.errors import FarmError
-from repro.farm import Cell, MemoryRunTable, SqliteRunTable
+from repro.farm import Cell, SqliteRunTable
 
 
 def make_cells(n=4):
@@ -23,16 +22,13 @@ def open_pair(tmp_path):
     return table, SqliteRunTable.open(path)
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def table(request, tmp_path):
-    if request.param == "memory":
-        yield MemoryRunTable(make_cells(), meta={"grid": {"g": 1}})
-    else:
-        handle = SqliteRunTable.create(
-            tmp_path / "runs.sqlite", make_cells(), meta={"grid": {"g": 1}}
-        )
-        yield handle
-        handle.close()
+@pytest.fixture()
+def table(tmp_path):
+    handle = SqliteRunTable.create(
+        tmp_path / "runs.sqlite", make_cells(), meta={"grid": {"g": 1}}
+    )
+    yield handle
+    handle.close()
 
 
 class TestProtocol:
