@@ -14,11 +14,16 @@ directly, which takes live objects.
 Three cell kinds execute here:
 
 * ``run`` — build the problem's system under one naming × adversary
-  combination, run it to ``max_steps``, collect metrics and check the
-  spec's safety properties on the trace.  The result dict is fully
-  deterministic (seeded adversaries, no wall-clock fields), so an
-  interrupted-and-resumed farm produces byte-identical results to an
-  uninterrupted one.
+  combination and step it to ``max_steps`` on the lazily interned
+  packed program (:func:`~repro.runtime.compiled.run_packed`): the
+  adversary chooses from a packed view of the scheduler, the counters
+  come from the transition tables and the declared safety invariant is
+  checked on every state reached.  A cell whose check flags a state is
+  re-run on the live ``System.run`` (:func:`live_run_cell_result`),
+  whose trace checkers render the violation text, so every record
+  equals the live one.  The result dict is fully deterministic (seeded
+  adversaries, no wall-clock fields), so an interrupted-and-resumed
+  farm produces byte-identical results to an uninterrupted one.
 * ``verify`` — an exhaustive graph-retaining
   :func:`~repro.verify.runner.verify_instance` walk; the retained
   :class:`~repro.verify.graph.StateGraph` is persisted into the farm's
@@ -49,6 +54,8 @@ __all__ = [
     "grid_cells",
     "resolve_grid_params",
     "default_checkers",
+    "run_cell_result",
+    "live_run_cell_result",
     "execute_cell",
 ]
 
@@ -216,8 +223,14 @@ def default_checkers(spec, inputs) -> List[Any]:
     return []
 
 
-def _run_cell_result(spec, params: Dict[str, Any], cell: Cell,
-                     max_steps: int) -> Dict[str, Any]:
+def live_run_cell_result(spec, params: Dict[str, Any], cell: Cell,
+                         max_steps: int) -> Dict[str, Any]:
+    """A run cell's record on the live scheduler: ``System.run``, a
+    recorded trace, :func:`collect_metrics` and the trace checkers.
+
+    The witness renderer for flagged cells and the differential oracle
+    of :func:`run_cell_result`.
+    """
     from repro.analysis.metrics import collect_metrics
     from repro.errors import SpecViolation
     from repro.runtime.system import System
@@ -234,16 +247,70 @@ def _run_cell_result(spec, params: Dict[str, Any], cell: Cell,
             checker.check(trace)
         except SpecViolation as exc:
             violations.append(str(exc))
+    return _run_record(
+        naming, adversary, metrics.total_events, metrics.total_reads,
+        metrics.total_writes, metrics.decided_count, violations,
+    )
+
+
+def run_cell_result(spec, params: Dict[str, Any], cell: Cell,
+                    max_steps: int) -> Dict[str, Any]:
+    """A run cell's record, stepped on the packed program.
+
+    The adversary chooses from a packed view of the scheduler and the
+    declared invariant is checked on every state reached.  A cell whose
+    check flags a state — or that ends with a halted process the
+    invariant's facts cannot see (:meth:`StateInvariant.hidden_at_halt`)
+    — is re-run by :func:`live_run_cell_result`, whose trace checkers
+    render the record; either way the record equals the live one.
+    """
+    from repro.runtime.compiled import CompiledProgram, compile_checker, run_packed
+    from repro.runtime.invariants import StateInvariant
+    from repro.runtime.kernel import StepInstance
+    from repro.runtime.system import System
+
+    naming = build_naming(cell.payload["naming"])
+    adversary = build_adversary(cell.payload["adversary"])
+    system = System(spec.build(params), spec.inputs(params), naming=naming)
+    program = CompiledProgram(
+        StepInstance.from_system(system), system.scheduler.capture_state()
+    )
+    # The trace checkers default_checkers picks test the declared
+    # invariant; without a declaration there is nothing to check.
+    invariant = spec.invariant if isinstance(spec.invariant, StateInvariant) else None
+    run = run_packed(program, adversary, max_steps, compile_checker(invariant, program))
+    final = program.unpack(run.state)[1]
+    autos = program.autos
+    if run.violation is not None or (
+        invariant is not None
+        and any(
+            halted and invariant.hidden_at_halt(autos[slot], local)
+            for slot, (_, local, halted, _) in enumerate(final)
+        )
+    ):
+        return live_run_cell_result(spec, params, cell, max_steps)
+    decided = sum(
+        1
+        for slot, (_, local, halted, _) in enumerate(final)
+        if halted and autos[slot].output(local) is not None
+    )
+    return _run_record(
+        naming, adversary, run.events, run.reads, run.writes, decided, []
+    )
+
+
+def _run_record(naming, adversary, events: int, reads: int, writes: int,
+                decided: int, violations: List[str]) -> Dict[str, Any]:
     # Deterministic by construction: seeded adversaries, no wall-clock
     # or host fields — resume must reproduce these bytes exactly.
     return {
         "verdict": "ok" if not violations else "violation",
         "naming": naming.describe(),
         "adversary": adversary.describe(),
-        "events": metrics.total_events,
-        "reads": metrics.total_reads,
-        "writes": metrics.total_writes,
-        "decided": metrics.decided_count,
+        "events": events,
+        "reads": reads,
+        "writes": writes,
+        "decided": decided,
         "violations": violations,
     }
 
@@ -336,7 +403,7 @@ def execute_cell(
         return _fuzz_cell_result(config, cell)
     params = resolve_grid_params(spec, config)
     if cell.kind == "run":
-        return _run_cell_result(spec, params, cell, int(config["max_steps"]))
+        return run_cell_result(spec, params, cell, int(config["max_steps"]))
     if cell.kind == "verify":
         graph_dir = (
             Path(graphs_dir) / f"cell-{cell.index:05d}"

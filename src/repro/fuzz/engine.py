@@ -248,18 +248,11 @@ class _CompiledStepper:
         self.program = program
         self.initial = program.initial_packed
         self.check = compile_checker(invariant, program)
+        self.enabled = program.enabled
 
     def step(self, packed: Tuple[int, ...], pid: ProcessId) -> Tuple[int, ...]:
         return self.program.step_packed(
             packed, self.instance.slot_of[pid]
-        )
-
-    def enabled(self, packed: Tuple[int, ...]) -> Tuple[ProcessId, ...]:
-        live = self.program.live
-        return tuple(
-            pid
-            for pid, slot, offset in self.program.step_order
-            if live[slot][packed[offset]]
         )
 
     def pending_physical(

@@ -47,6 +47,12 @@ it in dense integer tables, filled the first time the walk needs them:
    tables, which the graph shares), and edges go to integer arrays — no
    digest and no unpack per child.
 
+4. :func:`run_packed` is ``Scheduler.run`` on the same tables: an
+   adversary chooses from a :class:`PackedSchedulerView` (``pids``,
+   ``enabled_pids()`` from :meth:`CompiledProgram.enabled`,
+   ``steps_so_far``), and every state reached is checked.  The sweep
+   farm's run cells use it.
+
 **Hook exceptions.**  The automata hooks run at the step that first
 needs them — ``next_op``/``apply``/``is_halted`` inside ``step_packed``,
 footprint and rename hooks inside the digest tables — which is the step
@@ -74,10 +80,12 @@ from __future__ import annotations
 
 import struct
 import time
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SchedulingError
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
+from repro.runtime.adversary import Adversary
 from repro.runtime.backends import ExplorationTask, Invariant
 from repro.runtime.canonical import (
     Canonicalizer,
@@ -278,6 +286,14 @@ class CompiledProgram:
 
     # -- stepping ------------------------------------------------------
 
+    def enabled(self, packed: PackedState) -> Tuple[ProcessId, ...]:
+        """The pids that can step in ``packed``, in scheduling order —
+        ``Scheduler.enabled_pids`` over a packed state."""
+        live = self.live
+        return tuple(
+            pid for pid, slot, off in self.step_order if live[slot][packed[off]]
+        )
+
     def _classify(self, slot: int, si: int) -> int:
         """Fill local state ``si``'s transition entries; returns its kind.
 
@@ -441,6 +457,129 @@ def compile_checker(
         return slow(packed) if suspect(packed) else None
 
     return check
+
+
+# -- adversary runs ----------------------------------------------------
+
+
+class PackedSchedulerView:
+    """The scheduler as a descriptor adversary reads it, over a packed
+    run: ``pids`` and ``enabled_pids()`` in scheduling order, and
+    ``steps_so_far``."""
+
+    __slots__ = ("pids", "steps_so_far", "_enabled")
+
+    def __init__(self, pids: Tuple[ProcessId, ...]) -> None:
+        self.pids = pids
+        self.steps_so_far = 0
+        self._enabled: Tuple[ProcessId, ...] = ()
+
+    def enabled_pids(self) -> Tuple[ProcessId, ...]:
+        return self._enabled
+
+
+@dataclass
+class PackedRun:
+    """Where :func:`run_packed` stopped and what it counted."""
+
+    #: The last state reached.
+    state: PackedState
+    events: int
+    reads: int
+    writes: int
+    #: The message of the first reached state ``check`` flagged; the
+    #: run stops there.
+    violation: Optional[str] = None
+
+
+def run_packed(
+    program: CompiledProgram,
+    adversary: Adversary,
+    max_steps: int,
+    check: Callable[[PackedState], Optional[str]],
+) -> PackedRun:
+    """``Scheduler.run`` over packed states, checking every state reached.
+
+    ``adversary`` chooses from a :class:`PackedSchedulerView`; the run
+    stops where the live one does — ``max_steps`` events, no enabled
+    pid, or the adversary's ``None`` — or at the first state (the
+    initial one included) that ``check`` flags.  A choice that is not
+    enabled raises the scheduler's :class:`~repro.errors.SchedulingError`.
+    An adversary that overrides ``observe`` is rejected: a packed run
+    has no :class:`~repro.runtime.events.Event` to hand it.
+    """
+    if getattr(type(adversary), "observe", None) is not Adversary.observe:
+        raise ConfigurationError(
+            f"{type(adversary).__name__} overrides observe(); a packed run "
+            "records no events, so it drives only adversaries that choose "
+            "from pids, enabled_pids() and steps_so_far"
+        )
+    adversary.reset()
+    m = program.m
+    slot_of = program.instance.slot_of
+    kind = program.kind
+    arg = program.arg
+    write_value = program.write_value
+    next_state = program.next_state
+    rows = program.rows
+    live = program.live
+    step_packed = program.step_packed
+    view = PackedSchedulerView(tuple(pid for pid, _, _ in program.step_order))
+    choose = adversary.choose
+    # Events per transition kind (OP_NEW never stays: stepping fills it).
+    counts = [0] * (OP_NEW + 1)
+    events = 0
+    state = program.initial_packed
+    violation = check(state)
+    enabled = program.enabled(state)
+    while violation is None and events < max_steps and enabled:
+        view.steps_so_far = events
+        view._enabled = enabled
+        pid = choose(view)
+        if pid is None:
+            break
+        if pid not in enabled:
+            raise SchedulingError(
+                f"adversary chose {pid!r}, which is not enabled "
+                f"(enabled: {list(enabled)})"
+            )
+        s = slot_of[pid]
+        off = m + s
+        si = state[off]
+        k = kind[s][si]
+        if k == OP_READ:
+            nsi = rows[s][si][state[arg[s][si]]]
+            state = (
+                state[:off] + (nsi,) + state[off + 1 :]
+                if nsi >= 0
+                else step_packed(state, s)
+            )
+        elif k == OP_WRITE:
+            phys = arg[s][si]
+            state = (
+                state[:phys]
+                + (write_value[s][si],)
+                + state[phys + 1 : off]
+                + (next_state[s][si],)
+                + state[off + 1 :]
+            )
+        elif k == OP_LOCAL:
+            state = state[:off] + (next_state[s][si],) + state[off + 1 :]
+        else:
+            state = step_packed(state, s)
+            k = kind[s][si]
+        counts[k] += 1
+        events += 1
+        if not live[s][state[off]]:
+            enabled = program.enabled(state)
+        violation = check(state)
+    return PackedRun(
+        state=state,
+        events=events,
+        reads=counts[OP_READ],
+        writes=counts[OP_WRITE],
+        violation=violation,
+    )
 
 
 # -- the backend -------------------------------------------------------

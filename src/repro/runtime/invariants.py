@@ -19,9 +19,12 @@ Every checking surface derives from those two methods:
   (slot, local state), whether the process's fact *alone* is fine or
   already fails, and hands the real invariant only the states where two
   facts meet or one fails alone;
-* **the sweep farm** — :meth:`~StateInvariant.trace_checkers` names the
-  :mod:`repro.spec` checkers that test the same property on a recorded
-  trace.
+* **the sweep farm** — a run cell checks the packed flag tables on every
+  state its schedule reaches; a cell they flag, or one that ends with a
+  halted process :meth:`~StateInvariant.hidden_at_halt` names, is
+  re-run live, where :meth:`~StateInvariant.trace_checkers` names the
+  :mod:`repro.spec` checkers that test the same property on the
+  recorded trace.
 
 Declarations are plain module-level classes, so every invariant here
 pickles under any ``multiprocessing`` start method.
@@ -60,6 +63,12 @@ class StateInvariant:
         """The :mod:`repro.spec` trace checkers for this property."""
         return []
 
+    def hidden_at_halt(self, automaton: Any, local: Any) -> bool:
+        """Whether a process halted in ``local`` can still fail the trace
+        checkers although its fact does not show it — the one place a
+        trace and a per-state check of the same property may part."""
+        return False
+
     def __call__(self, system: Any) -> Optional[str]:
         facts: Facts = {}
         for pid, runtime in system.scheduler.runtimes():
@@ -94,6 +103,11 @@ class MutualExclusion(StateInvariant):
         from repro.spec.mutex_spec import MutualExclusionChecker
 
         return [MutualExclusionChecker()]
+
+    def hidden_at_halt(self, automaton: Any, local: Any) -> bool:
+        # Halting inside the CS leaves the trace's interval open for
+        # good, while the fact drops every halted process.
+        return bool(automaton.in_critical_section(local))
 
 
 class _Decisions(StateInvariant):
@@ -189,6 +203,9 @@ class Conjunction(StateInvariant):
 
     def trace_checkers(self, inputs: Dict[ProcessId, Any]) -> List[Any]:
         return [c for inv in self.invariants for c in inv.trace_checkers(inputs)]
+
+    def hidden_at_halt(self, automaton: Any, local: Any) -> bool:
+        return any(inv.hidden_at_halt(automaton, local) for inv in self.invariants)
 
     def __call__(self, system: Any) -> Optional[str]:
         return _first_violation(self.invariants, system)

@@ -69,6 +69,7 @@ from typing import (
 )
 
 from repro.errors import ProtocolError, SchedulingError, VerificationError
+from repro.runtime.invariants import mutual_exclusion_invariant
 from repro.runtime.kernel import (
     GlobalState,
     StepInstance,
@@ -146,11 +147,14 @@ def _replay(
 
 
 class CsLabels:
-    """``in_critical_section`` / ``phase``, memoised per (slot, local).
+    """"In the critical section" / ``phase``, memoised per (slot, local).
 
     The one definition of the deadlock-freedom labels, shared by the
     graph checker (which spreads them over node ordinals) and the
-    fuzzer's cycle oracle (which asks about value states).
+    fuzzer's cycle oracle (which asks about value states).  "In the
+    critical section" is the mutual-exclusion invariant's fact
+    (:data:`~repro.runtime.invariants.mutual_exclusion_invariant`), so
+    safety and liveness share one definition of it.
     ``supported`` reports whether every automaton exposes both hooks
     (mutex-style automata only); ``unsupported`` lists the pids whose
     automaton does not.
@@ -174,11 +178,13 @@ class CsLabels:
         self._in_cs: List[Dict[Any, bool]] = [{} for _ in range(slots)]
         self._phase: List[Dict[Any, str]] = [{} for _ in range(slots)]
 
-    def in_cs_local(self, slot: int, local: Any) -> bool:
+    def in_cs_local(self, slot: int, local: Any, halted: bool) -> bool:
+        # ``halted`` is a function of ``local``, so the memo keys on it alone.
         memo = self._in_cs[slot]
         cached = memo.get(local)
         if cached is None:
-            cached = memo[local] = bool(self._autos[slot].in_critical_section(local))
+            fact = mutual_exclusion_invariant.fact(self._autos[slot], local, halted)
+            cached = memo[local] = fact is not None
         return cached
 
     def phase_local(self, slot: int, local: Any) -> str:
@@ -190,7 +196,8 @@ class CsLabels:
 
     def in_cs(self, state: GlobalState, pid: ProcessId) -> bool:
         slot = self.instance.slot_of[pid]
-        return self.in_cs_local(slot, state[1][slot][1])
+        _, local, halted, _ = state[1][slot]
+        return self.in_cs_local(slot, local, halted)
 
     def phase(self, state: GlobalState, pid: ProcessId) -> str:
         slot = self.instance.slot_of[pid]
@@ -557,7 +564,7 @@ def check_deadlock_freedom(
         graph.dsts,
         instance.pid_order,
         _node_masks(
-            graph, instance, lambda slot, e: labels.in_cs_local(slot, e[1])
+            graph, instance, lambda slot, e: labels.in_cs_local(slot, e[1], e[2])
         ),
         _node_masks(graph, instance, _is_live),
         _node_masks(

@@ -6,9 +6,13 @@ last duplicate silently, which is how a dropped job header once merged
 two jobs into one without any error — every job must say where it
 runs and what it does, and every path the ``ruff`` and ``mypy`` jobs
 name must exist, so a moved or deleted module fails here rather than
-only on the CI runner.
+only on the CI runner.  The sweep smoke's live-oracle step is run here
+against a real farm, and must fail on a tampered row.
 """
 
+import json
+import sqlite3
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,56 @@ def test_every_path_the_linters_name_exists(tool):
     assert paths, f"no {tool} command with a file list in ci.yml"
     missing = [path for path in paths if not (ROOT / path).exists()]
     assert not missing, f"ci.yml {tool} job names missing paths: {missing}"
+
+
+def smoke_step_script(name):
+    """The Python heredoc of one named step of the sweep-farm-smoke job."""
+    job = load((ROOT / ".github" / "workflows" / "ci.yml").read_text())["jobs"][
+        "sweep-farm-smoke"
+    ]
+    names = [step.get("name") for step in job["steps"]]
+    run = job["steps"][names.index(name)]["run"]
+    body = run.split("<<'EOF'\n", 1)[1].rsplit("EOF", 1)[0]
+    return names, textwrap.dedent(body)
+
+
+LIVE_ORACLE_STEP = "Re-run every run cell on the live scheduler"
+
+
+def test_the_sweep_smoke_re_runs_run_cells_after_the_resume():
+    names, script = smoke_step_script(LIVE_ORACLE_STEP)
+    assert names.index(LIVE_ORACLE_STEP) > names.index(
+        "Resume the killed farm to completion"
+    )
+    assert "live_run_cell_result" in script and "kind = 'run'" in script
+
+
+def test_the_live_oracle_step_passes_a_farm_and_fails_a_tampered_row(
+    tmp_path, monkeypatch
+):
+    from repro.farm import create_farm, drain_farm
+
+    _, script = smoke_step_script(LIVE_ORACLE_STEP)
+    create_farm(tmp_path / "farm", {
+        "problem": "figure-1-mutex",
+        "instance": "figure-1-mutex(m=3)",
+        "namings": [{"type": "identity"}],
+        "adversaries": [{"type": "round-robin"}, {"type": "random", "seed": 1}],
+        "max_steps": 2_000,
+    })
+    drain_farm(tmp_path / "farm")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(script, LIVE_ORACLE_STEP, "exec"), {})
+
+    db = sqlite3.connect("farm/runs.sqlite")
+    with db:
+        (stored,) = db.execute("SELECT result FROM cells WHERE idx = 1").fetchone()
+        tampered = json.loads(stored)
+        tampered["events"] += 1
+        db.execute(
+            "UPDATE cells SET result = ? WHERE idx = 1",
+            (json.dumps(tampered, sort_keys=True),),
+        )
+    db.close()
+    with pytest.raises(AssertionError):
+        exec(compile(script, LIVE_ORACLE_STEP, "exec"), {})
