@@ -728,7 +728,7 @@ def exploration_benchmark(quick=False, rng_seed=5, telemetry_dir=None,
                 manifest_names.append(_write_bench_manifest(
                     telemetry_dir, index, label, engine, budgets,
                     record[engine], telemetry,
-                    backend="serial" if engine == "oracle" else "compiled",
+                    backend="serial" if engine == "oracle" else "packed",
                 ))
         records.append(record)
         rows.append([

@@ -6,21 +6,21 @@ collect metrics, and aggregate over a battery of namings and adversaries.
 :func:`sweep` is that loop; :class:`SweepResult` is what the benchmark
 tables are printed from.
 
-The (naming × adversary) cells of a sweep are independent runs, so the
-loop is expressed as an ordered ``map`` over an executor — the same
-serial/parallel abstraction the exploration backends use
-(:class:`~repro.runtime.backends.SerialExecutor` /
-:class:`~repro.runtime.backends.ProcessExecutor`).  Every adversary's
-``reset()`` reseeds from its stored seed, so cells are independent of
-execution order and the executor choice changes wall time only, never
-the records.
+The (naming × adversary) cells of a sweep are independent runs, and
+:func:`sweep` runs them in one in-process loop, naming-major.  Every
+adversary's ``reset()`` reseeds from its stored seed, so a cell's record
+does not depend on the cells before it.  Multi-process and resumable
+sweeps are the farm's job (:func:`repro.farm.create_farm` +
+:func:`repro.farm.run_farm`, or ``repro sweep --workers N``), which
+ships JSON grid configs and sqlite rows between processes rather than
+live algorithm factories.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Union
 
 from repro.analysis.metrics import RunMetrics, collect_metrics
 from repro.errors import ConfigurationError, SpecViolation
@@ -89,39 +89,15 @@ class SweepResult:
         return "\n".join(lines)
 
 
-#: Worker-process payload for parallel sweeps: (algorithm_factory,
-#: inputs, cells, checkers_factory, max_steps).  Planted once per worker
-#: via the executor's initializer hook; under the default ``fork`` start
-#: method it is inherited, not pickled, so closure-based factories (the
-#: house style in benchmarks) keep working in parallel sweeps.
-_SweepPayload = Tuple[
-    Callable[[], Algorithm],
-    Any,
-    Tuple[Tuple[NamingAssignment, Adversary], ...],
-    Callable[..., Iterable[PropertyChecker]],
-    int,
-]
-
-_SWEEP: Optional[_SweepPayload] = None
-
-
-def _init_sweep_worker(payload: _SweepPayload) -> None:
-    global _SWEEP
-    _SWEEP = payload
-
-
-def _run_sweep_cell(index: int) -> RunRecord:
-    """Run one (naming, adversary) cell of the planted sweep payload.
-
-    A module-level function of the cell *index* only, so the executor's
-    task traffic is one int per cell; everything heavy rides in the
-    per-process payload.  Depends on nothing mutable across calls —
-    adversaries reseed in ``system.run`` — so serial and parallel
-    executors produce identical records in identical order.
-    """
-    assert _SWEEP is not None, "sweep worker initializer did not run"
-    algorithm_factory, inputs, cells, checkers_factory, max_steps = _SWEEP
-    naming, adversary = cells[index]
+def _run_sweep_cell(
+    algorithm_factory: Callable[[], Algorithm],
+    inputs: Any,
+    naming: NamingAssignment,
+    adversary: Adversary,
+    checkers_factory: Callable[..., Iterable[PropertyChecker]],
+    max_steps: int,
+) -> RunRecord:
+    """Run one (naming, adversary) cell and check its trace."""
     system = System(algorithm_factory(), inputs, naming=naming)
     trace = system.run(adversary, max_steps=max_steps)
     record = RunRecord(
@@ -149,7 +125,6 @@ def sweep(
     adversaries: Sequence[Adversary],
     checkers_factory: Callable[..., Iterable[PropertyChecker]],
     max_steps: int = 200_000,
-    backend: Optional[Union[str, Any]] = None,
     telemetry: Optional[TelemetrySink] = None,
     manifest_dir: Optional[Union[str, Path]] = None,
 ) -> SweepResult:
@@ -165,14 +140,6 @@ def sweep(
     bug).  Violations are *collected*, not raised — impossibility-side
     sweeps count them.
 
-    ``backend`` fans the independent cells out, in the same vocabulary
-    the explorer uses: ``"serial"`` (the default — the historical
-    in-process loop via
-    :class:`~repro.runtime.backends.SerialExecutor`), ``"process"``
-    (worker processes via
-    :class:`~repro.runtime.backends.ProcessExecutor`, bit-identical
-    records, see module docstring), or an executor instance.
-
     ``telemetry`` receives the per-sweep counters (``sweep.cells``,
     ``sweep.violations``) and the ``sweep.map`` phase timer;
     ``manifest_dir`` additionally writes one
@@ -180,25 +147,18 @@ def sweep(
     per cell) into that directory — the after-the-fact audit record of
     what each cell ran.
     """
-    from repro.runtime.backends import resolve_executor
-
-    chosen = resolve_executor(backend if backend is not None else "serial")
     if telemetry is None:
         telemetry = NULL_TELEMETRY
 
-    cells = tuple(
-        (naming, adversary) for naming in namings for adversary in adversaries
-    )
-    payload: _SweepPayload = (
-        algorithm_factory, inputs, cells, checkers_factory, max_steps,
-    )
     with telemetry.phase("sweep.map"):
-        records = chosen.map(
-            _run_sweep_cell,
-            list(range(len(cells))),
-            initializer=_init_sweep_worker,
-            initargs=(payload,),
-        )
+        records = [
+            _run_sweep_cell(
+                algorithm_factory, inputs, naming, adversary,
+                checkers_factory, max_steps,
+            )
+            for naming in namings
+            for adversary in adversaries
+        ]
     result = SweepResult(algorithm=algorithm_factory().name, records=records)
     if telemetry.enabled:
         telemetry.count("sweep.cells", len(records))
@@ -210,16 +170,10 @@ def sweep(
             "sweep.done",
             algorithm=result.algorithm,
             cells=len(records),
-            backend=chosen.name,
-            workers=chosen.workers,
             all_ok=result.all_ok,
         )
     if manifest_dir is not None:
-        write_sweep_manifests(
-            result, Path(manifest_dir),
-            backend=chosen.name, workers=chosen.workers,
-            max_steps=max_steps,
-        )
+        write_sweep_manifests(result, Path(manifest_dir), max_steps=max_steps)
     return result
 
 
@@ -244,19 +198,23 @@ def sweep_problem(
     ``instance``, or — when both are omitted — the spec's first declared
     instance.  Everything else forwards to :func:`sweep`.
 
-    Execution choices (``max_steps``, ``backend``, ``telemetry``, plus
+    Execution choices (``max_steps``, ``telemetry``, plus
     ``instance``/``params`` defaults) ride on a
-    :class:`~repro.request.RunRequest` passed as ``request=``.
+    :class:`~repro.request.RunRequest` passed as ``request=``.  Sweep
+    cells run on the live scheduler, not an exploration backend, so a
+    request carrying ``backend`` is a
+    :class:`~repro.errors.ConfigurationError`.
     """
     from functools import partial
 
     from repro.problems import get_problem
 
-    backend: Any = None
     max_steps: Optional[int] = None
     telemetry: Any = None
     if request is not None:
-        backend = request.backend
+        request.refuse_backend(
+            "sweep_problem", "sweep cells run on the live scheduler"
+        )
         max_steps = request.max_steps
         telemetry = request.telemetry
         if instance is None and request.instance is not None:
@@ -286,18 +244,13 @@ def sweep_problem(
         adversaries,
         checkers_factory,
         max_steps=max_steps,
-        backend=backend,
         telemetry=telemetry,
         manifest_dir=manifest_dir,
     )
 
 
 def write_sweep_manifests(
-    result: SweepResult,
-    directory: Path,
-    backend: str = "serial",
-    workers: int = 1,
-    max_steps: int = 0,
+    result: SweepResult, directory: Path, max_steps: int = 0
 ) -> Path:
     """Write one manifest per sweep cell as NDJSON under ``directory``.
 
@@ -324,8 +277,8 @@ def write_sweep_manifests(
                 parameters={"cell": index, "max_steps": max_steps},
                 naming=record.naming,
                 adversary=record.adversary,
-                backend=backend,
-                workers=workers,
+                backend="serial",
+                workers=1,
                 outcome={
                     "verdict": "ok" if record.ok else "violation",
                     "events": len(record.trace),

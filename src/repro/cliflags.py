@@ -47,8 +47,8 @@ def positive_workers(text: str) -> int:
     Shared by every command that accepts ``--workers`` so that
     ``--workers 0`` (or a negative count, or junk) dies with the same
     one-line message everywhere — the text mirrors the
-    :class:`~repro.errors.ConfigurationError` the backends raise for
-    the same mistake, pinned by ``tests/test_cliflags.py``.
+    :class:`~repro.errors.ConfigurationError` ``RunRequest(workers=0)``
+    raises, pinned by ``tests/test_cliflags.py``.
     """
     try:
         value = int(text)

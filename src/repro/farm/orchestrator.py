@@ -287,9 +287,14 @@ def run_farm(
     ``max_attempts`` is the per-cell retry budget (see
     :func:`drain_farm`); ``request=`` accepts a
     :class:`~repro.request.RunRequest` whose ``workers`` field is the
-    unified spelling of the worker count.
+    unified spelling of the worker count; the grid config fixes what
+    each cell runs, so a request carrying ``backend`` is a
+    :class:`~repro.errors.ConfigurationError`.
     """
     if request is not None:
+        request.refuse_backend(
+            "run_farm", "the grid config fixes what each cell runs"
+        )
         workers = request.merged("workers", workers, default=1) or 1
     if workers <= 1:
         return drain_farm(

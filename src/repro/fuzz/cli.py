@@ -114,7 +114,7 @@ def _write_fuzz_manifest(
             "families": list(report.families),
         },
         adversary=f"fuzz:{'+'.join(report.families)}",
-        backend="compiled",  # episodes step the packed walker's tables
+        backend="packed",  # episodes step the packed walker's tables
         workers=1,
         outcome=outcome,
         telemetry=telemetry_snapshot,

@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ConfigurationError, FuzzError
+from repro.errors import FuzzError
 from repro.fuzz.shrink import (
     cycle_is_df_violation,
     cycle_is_of_violation,
@@ -301,12 +301,7 @@ def run_fuzz(
     """
     from repro.obs.telemetry import NULL_TELEMETRY
 
-    if isinstance(request.backend, str) and request.backend != "serial":
-        raise ConfigurationError(
-            f"fuzzing is serial per episode; got backend "
-            f"{request.backend!r} (use workers= to shard episodes "
-            "across farm cells)"
-        )
+    request.refuse_backend("run_fuzz", "episodes step the packed program")
     if episodes < 0:
         raise FuzzError(f"episodes must be >= 0, got {episodes}")
     spec, instance_record = request.resolve()

@@ -11,9 +11,13 @@ they all consume instead:
 
 * *what*: ``problem`` / ``instance`` / ``params`` — resolved through
   the problem registry by :func:`resolve_target`;
-* *how*: ``backend``, ``workers`` — the execution engine (exhaustive
-  walks default to the packed walker; ``backend`` takes an
-  exploration-backend instance, or a sweep executor name);
+* *how*: ``backend``, ``workers`` — the execution engine.  ``backend``
+  is an :class:`~repro.runtime.backends.ExplorationBackend` instance
+  (in practice the :class:`~repro.runtime.backends.SerialBackend`
+  oracle) or ``None`` for the packed walker; only the exhaustive walks
+  (``explore``, ``verify_instance``) take one, and the other entry
+  points reject a request that sets it.  ``workers`` is the farm's
+  process count;
 * *budgets*: ``max_steps`` (schedule length), ``max_states`` (distinct
   states);
 * *determinism*: ``seed`` — the single RNG root for stochastic
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -40,13 +44,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.problems.spec import ProblemInstance, ProblemSpec
 
 __all__ = [
-    "BACKENDS",
     "RunRequest",
+    "check_backend",
     "resolve_target",
 ]
 
-#: The backend-name vocabulary: the sweep executors.
-BACKENDS: Tuple[str, ...] = ("serial", "process")
+
+def check_backend(backend: Any) -> None:
+    """Raise unless ``backend`` is ``None`` or an exploration backend.
+
+    An :class:`~repro.runtime.backends.ExplorationBackend` is anything
+    with a ``run(task, telemetry)`` method; a name such as ``"serial"``
+    is not one.
+    """
+    if backend is not None and not callable(getattr(backend, "run", None)):
+        raise ConfigurationError(
+            "backend must be an ExplorationBackend instance such as "
+            f"SerialBackend(), or None for the packed walker; got {backend!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,9 +70,8 @@ class RunRequest:
 
     ``params`` accepts any mapping and is stored as a sorted item tuple
     so the request stays hashable; read it back via
-    :meth:`params_dict`.  ``backend`` may be a vocabulary string or a
-    live backend/executor instance (instances pass through unvalidated
-    — they carry their own configuration).
+    :meth:`params_dict`.  ``backend`` is ``None`` or an exploration
+    backend instance (see :func:`check_backend`).
     """
 
     problem: Optional[str] = None
@@ -75,11 +89,7 @@ class RunRequest:
             object.__setattr__(
                 self, "params", tuple(sorted(self.params.items()))
             )
-        if isinstance(self.backend, str) and self.backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; "
-                "expected 'serial' or 'process'"
-            )
+        check_backend(self.backend)
         for name in ("workers", "max_steps", "max_states"):
             value = getattr(self, name)
             if value is not None and (not isinstance(value, int) or value < 1):
@@ -107,6 +117,14 @@ class RunRequest:
     def resolve(self) -> Tuple["ProblemSpec", "ProblemInstance"]:
         """Resolve ``problem``/``instance``/``params`` via the registry."""
         return resolve_target(self.problem, self.instance, self.params_dict())
+
+    def refuse_backend(self, entry_point: str, reason: str) -> None:
+        """Raise when ``backend`` is set: ``entry_point`` cannot honour it."""
+        if self.backend is not None:
+            raise ConfigurationError(
+                f"{entry_point} takes no backend ({reason}); "
+                f"drop RunRequest.backend={self.backend!r}"
+            )
 
     # -- keyword merging -----------------------------------------------
 

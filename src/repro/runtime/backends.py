@@ -21,31 +21,19 @@ module's interpreter and :mod:`repro.runtime.compiled`'s packed walker:
     tests and benchmarks reach it by passing an instance to
     ``explore``.
 
-The executor pair (:class:`SerialExecutor` / :class:`ProcessExecutor`)
-is the same idea one level up — a deterministic ``map`` used by the
-sweep harness in :mod:`repro.analysis.experiments` to fan independent
-(naming × adversary × seed) cells across cores.
+A backend instance is the only meaning of "backend" in the package:
+``explore(backend=...)`` and ``RunRequest.backend`` take one (or ``None``
+for the packed walker).  Nothing here crosses a process boundary; the
+sweep farm (:mod:`repro.farm`) is the one multi-process path, and it
+ships JSON grid configs and sqlite rows, not Python objects.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    TypeVar,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 
-from repro.errors import ConfigurationError
 from repro.obs.telemetry import NULL_TELEMETRY, TelemetrySink
 from repro.runtime.canonical import Canonicalizer, CanonicalKey
 from repro.runtime.exploration import ExplorationResult
@@ -314,120 +302,3 @@ class SerialBackend:
             telemetry.count("explore.events", result.events_executed)
             telemetry.count("explore.orbit_hits", result.orbits_collapsed)
         return result
-
-
-# ---------------------------------------------------------------------------
-# Executors — the same serial/parallel choice for independent sweep cells
-# ---------------------------------------------------------------------------
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-class SerialExecutor:
-    """In-process ordered ``map`` — the default sweep executor.
-
-    ``initializer`` (if given) runs once in this process before the
-    map, mirroring the pool-initializer contract of
-    :class:`ProcessExecutor` so callers plant per-process payloads the
-    same way under either executor.
-    """
-
-    name = "serial"
-    workers = 1
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Sequence[_T],
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> List[_R]:
-        if initializer is not None:
-            initializer(*initargs)
-        return [fn(item) for item in items]
-
-
-class ProcessExecutor:
-    """Ordered ``map`` over a ``multiprocessing`` pool.
-
-    Results come back in submission order regardless of completion
-    order, so swapping this in for :class:`SerialExecutor` never changes
-    a sweep's output — only its wall time.  ``fn`` must be a module
-    -level function and items/results picklable; under the default
-    ``fork`` start method the ``initializer`` payload is inherited
-    rather than pickled, so it may close over anything.
-    """
-
-    name = "process"
-
-    def __init__(
-        self, workers: int = 2, mp_context: Optional[Any] = None
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError(
-                f"workers must be a positive int, got {workers!r}"
-            )
-        self.workers = workers
-        self._mp_context = mp_context
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Sequence[_T],
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> List[_R]:
-        items = list(items)
-        if not items:
-            return []
-        context = self._mp_context or get_context()
-        with context.Pool(
-            self.workers, initializer=initializer, initargs=initargs
-        ) as pool:
-            return pool.map(fn, items)
-
-
-class SweepExecutor(Protocol):
-    """The ordered-``map`` interface :func:`repro.analysis.experiments.sweep`
-    fans its cells out over (satisfied by :class:`SerialExecutor` and
-    :class:`ProcessExecutor`)."""
-
-    name: str
-    workers: int
-
-    def map(
-        self,
-        fn: Callable[[_T], _R],
-        items: Sequence[_T],
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: Tuple[Any, ...] = (),
-    ) -> List[_R]:
-        """Apply ``fn`` to every item, preserving submission order."""
-        ...
-
-
-def resolve_executor(
-    spec: Union[str, SweepExecutor], workers: Optional[int] = None
-) -> SweepExecutor:
-    """Build a sweep executor from a spec.
-
-    Accepts the backend vocabulary as strings — ``"serial"`` →
-    :class:`SerialExecutor`, ``"process"`` → :class:`ProcessExecutor` —
-    or passes an executor instance (anything with a ``map``) through
-    unchanged, so ``sweep(backend=...)`` takes either spelling.
-    """
-    if isinstance(spec, str):
-        if spec == "serial":
-            return SerialExecutor()
-        if spec == "process":
-            return ProcessExecutor(workers=workers or 2)
-        raise ConfigurationError(
-            f"unknown sweep backend {spec!r}; expected 'serial' or 'process'"
-        )
-    if not hasattr(spec, "map"):
-        raise ConfigurationError(
-            f"sweep backend must be 'serial', 'process' or an executor "
-            f"with a map() method, got {spec!r}"
-        )
-    return spec

@@ -14,8 +14,9 @@ BLAKE2b, memoised per value) and packs one global state into a flat
 per process.  Because the digest depends only on the value's content —
 not on interning order, process identity or ``PYTHONHASHSEED`` — two
 canonicalizers built from the same instance in *different OS processes*
-produce identical keys — a sweep worker process and its parent agree
-on every key.  Key equality coincides with the
+produce identical keys — a retained graph's keys, and a resumed farm's
+``graph_sha256``, do not depend on the interpreter that walked it.  Key
+equality coincides with the
 equality the seed explorer used up to BLAKE2b collisions on 64-bit
 digests (probability ≈ ``n²/2⁶⁵`` for ``n`` distinct values — about
 ``10⁻⁸`` even for a billion-value walk, and a collision could only
@@ -79,10 +80,9 @@ from typing import (
     Tuple,
 )
 
-from repro.memory.anonymous import AnonymousMemory
 from repro.runtime.automaton import ProcessAutomaton
 from repro.runtime.kernel import GlobalState
-from repro.runtime.scheduler import ProcessRuntime, Scheduler
+from repro.runtime.scheduler import Scheduler
 from repro.runtime.system import System
 from repro.types import ProcessId
 
@@ -139,7 +139,7 @@ def stable_encode(value: Any) -> bytes:
 
     The encoding depends only on the value's *content*: it is identical
     across OS processes, interpreter runs and ``PYTHONHASHSEED`` values —
-    the property worker processes need to produce comparable state keys.
+    the property that makes state keys from different processes comparable.
     Containers are tagged and length-delimited (so ``(1, 2)``, ``[1, 2]``
     and ``"12"`` never collide); sets and dicts are serialised in sorted
     -encoding order; dataclasses (the repo's local-state idiom) encode as
@@ -347,7 +347,7 @@ class PackedCandidate:
     ``value_digest[vi]`` is the digest of the *renamed* register value
     ``vi``; ``slot_digest[slot][si]`` is the digest of slot ``slot``'s
     renamed footprint for local state ``si`` with the source slot's flag
-    byte appended — exactly the bytes :meth:`Canonicalizer._key`
+    byte appended — exactly the bytes :meth:`Canonicalizer.key_of_state`
     contributes for that element, reindexed by packed-state components.
     """
 
@@ -366,8 +366,9 @@ class PackedDigestTables:
     ``value_raw[vi]`` and ``slot_raw[slot][si]`` (footprint digest +
     flag byte) concatenate to the raw key, and each
     :class:`PackedCandidate` yields one orbit candidate; the canonical
-    key is the minimum — byte-identical to :meth:`Canonicalizer._key`
-    because every digest passes through the same intern/digest path.
+    key is the minimum — byte-identical to
+    :meth:`Canonicalizer.key_of_state` because every digest passes
+    through the same intern/digest path.
     The lists only ever grow in place, so a walk may hoist them.
     """
 
@@ -437,24 +438,17 @@ class PackedDigestTables:
 class Canonicalizer:
     """Maps a global state to a canonical content-addressed key.
 
-    Two entry points share one encoder:
-
-    * :meth:`key_of` reads the scheduler the canonicalizer was built for
-      directly (no ``capture_state`` tuple needed) — the live, serial
-      path.
-    * :meth:`key_of_state` encodes a :data:`~repro.runtime.kernel.GlobalState`
-      *value* without touching any live object — the path the pure
-      kernel and the interpreter backend use.
-
-    Both return ``(canonical_key, raw_key)``: the minimum of the orbit
-    under the configured group, and the identity encoding.  With an
+    :meth:`key_of_state` encodes a :data:`~repro.runtime.kernel.GlobalState`
+    *value* and returns ``(canonical_key, raw_key)``: the minimum of the
+    orbit under the configured group, and the identity encoding.  With an
     empty group the two coincide and the canonicalizer is a pure compact
-    -encoding layer.  Keys are content-addressed (see module docstring),
-    so they agree between the two entry points and across OS processes.
+    -encoding layer.  :meth:`packed_digest_tables` serves the packed
+    walker the same keys.  Keys are content-addressed (see module
+    docstring), so they agree across canonicalizers and OS processes.
 
-    Canonicalizers are picklable: the per-value digest memo travels with
-    them (warm caches for the worker) while the live scheduler binding is
-    dropped — an unpickled copy supports :meth:`key_of_state` only.
+    A canonicalizer holds no live object: it keeps the pid order, the
+    automata's hooks, the group elements and a per-value digest memo,
+    and pickles as it is.
 
     Build instances with :func:`build_canonicalizer` (or
     :class:`TrivialCanonicalizer` directly).
@@ -462,19 +456,14 @@ class Canonicalizer:
 
     def __init__(
         self,
-        scheduler: Scheduler,
+        pid_order: Sequence[ProcessId],
         footprint_fns: List[Optional[_FootprintFn]],
         rename_footprint_fns: List[_RenameFn],
         rename_value_fn: _RenameFn,
         elements: List[_GroupElement],
         group_capped: bool = False,
     ) -> None:
-        order = sorted(scheduler.pids)
-        self.pid_order: Tuple[ProcessId, ...] = tuple(order)
-        self._memory: Optional[AnonymousMemory] = scheduler.memory
-        self._runtimes: Optional[List[ProcessRuntime]] = [
-            scheduler.runtime(pid) for pid in order
-        ]
+        self.pid_order: Tuple[ProcessId, ...] = tuple(pid_order)
         self._footprint_fns = footprint_fns
         self._rename_footprint_fns = rename_footprint_fns
         self._rename_value_fn = rename_value_fn
@@ -498,62 +487,17 @@ class Canonicalizer:
             f"footprints={'on' if self.uses_footprints else 'off'}"
         )
 
-    @property
-    def interned_objects(self) -> int:
-        """Distinct register values / footprints digested so far."""
-        return len(self._intern)
-
-    # -- pickling (worker processes canonicalize locally) ------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        # The live scheduler bindings stay behind: a worker receives the
-        # group structure, hooks and warm digest memo, and runs purely on
-        # value states via key_of_state().
-        state["_memory"] = None
-        state["_runtimes"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-
     # -- encoding ----------------------------------------------------------
-
-    def key_of(self) -> Tuple[CanonicalKey, CanonicalKey]:
-        """``(canonical_key, raw_key)`` of the scheduler's current state."""
-        if self._memory is None or self._runtimes is None:
-            raise RuntimeError(
-                "this canonicalizer was unpickled and has no live scheduler; "
-                "use key_of_state(global_state) instead"
-            )
-        values = self._memory.snapshot()
-        slots = [
-            (runtime.state, runtime.halted, runtime.crashed)
-            for runtime in self._runtimes
-        ]
-        return self._key(values, slots)
 
     def key_of_state(
         self, global_state: GlobalState
     ) -> Tuple[CanonicalKey, CanonicalKey]:
         """``(canonical_key, raw_key)`` of a captured global-state value.
 
-        Pure: reads only the tuple (whose per-process part is sorted by
-        pid, matching :attr:`pid_order`), never a live object — safe in
-        any OS process holding an unpickled canonicalizer.
+        Pure: reads only the tuple, whose per-process part is sorted by
+        pid, matching :attr:`pid_order`.
         """
-        registers, locals_part = global_state
-        slots = [
-            (state, halted, crashed)
-            for _pid, state, halted, crashed in locals_part
-        ]
-        return self._key(registers, slots)
-
-    def _key(
-        self,
-        values: Sequence[Any],
-        slots: Sequence[Tuple[Any, bool, bool]],
-    ) -> Tuple[CanonicalKey, CanonicalKey]:
+        values, slots = global_state
         intern = self._intern
         parts: List[bytes] = []
         for value in values:
@@ -564,7 +508,7 @@ class Canonicalizer:
             parts.append(value_digest)
         footprints: List[Any] = []
         flags: List[bytes] = []
-        for slot, (state, halted, crashed) in enumerate(slots):
+        for slot, (_pid, state, halted, crashed) in enumerate(slots):
             footprint_fn = self._footprint_fns[slot]
             footprint = state if footprint_fn is None else footprint_fn(state)
             footprints.append(footprint)
@@ -631,7 +575,7 @@ class Canonicalizer:
         """Empty digest tables the packed walker grows as it interns.
 
         Every entry runs through the *same* intern and digest path as
-        :meth:`_key`, so keys assembled from the tables are
+        :meth:`key_of_state`, so keys assembled from the tables are
         byte-identical to ``key_of_state`` on the unpacked state.
         """
         return PackedDigestTables(self, slot_crashed)
@@ -645,10 +589,11 @@ class TrivialCanonicalizer(Canonicalizer):
     """
 
     def __init__(self, scheduler: Scheduler) -> None:
-        count = len(scheduler.pids)
+        order = sorted(scheduler.pids)
+        count = len(order)
         identity = _identity_rename
         super().__init__(
-            scheduler,
+            order,
             footprint_fns=[None] * count,
             rename_footprint_fns=[identity] * count,
             rename_value_fn=identity,
@@ -831,7 +776,7 @@ def build_canonicalizer(
         trivial.group_capped = capped
         return trivial
     return Canonicalizer(
-        scheduler,
+        order,
         footprint_fns,
         rename_footprint_fns,
         rename_value_fn,

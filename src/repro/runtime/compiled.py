@@ -656,7 +656,7 @@ class CompiledBackend:
     and register values the walk interned.
     """
 
-    name = "compiled"
+    name = "packed"
     progress_interval = 8192  # power of two, matches SerialBackend
 
     def run(

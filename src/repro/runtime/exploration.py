@@ -120,9 +120,9 @@ class ExplorationResult:
     #: Final size of the visited table (canonical keys), the walk's
     #: peak memory driver.
     peak_visited: int = 0
-    #: Name of the backend that ran the walk (``"compiled"`` for the
+    #: Name of the backend that ran the walk (``"packed"`` for the
     #: default packed walker, ``"serial"`` for the interpreter oracle).
-    backend: str = "compiled"
+    backend: str = "packed"
     #: Local states the packed walker interned, per slot (empty for the
     #: interpreter oracle).  After a complete trivial-dedup walk these
     #: are exactly the local states occurring in the visited set.
@@ -181,8 +181,6 @@ def explore(
     *,
     reduction: Optional[str] = None,
     telemetry: Optional[TelemetrySink] = None,
-    footprints: bool = True,
-    max_group: int = 720,
     retain_graph: bool = False,
     request: Optional["RunRequest"] = None,
 ) -> ExplorationResult:
@@ -223,10 +221,10 @@ def explore(
         State-space quotient selector: ``"none"`` (the default — plain
         compact dedup of raw states) or ``"symmetry"`` (the strongest
         sound canonicalizer for this system, built via
-        :func:`~repro.runtime.canonical.build_canonicalizer` with
-        ``footprints``/``max_group`` — typically shrinks the visited
-        set by the naming-automorphism group order and more).  Mutually
-        exclusive with ``canonicalizer``.
+        :func:`~repro.runtime.canonical.build_canonicalizer` at its
+        defaults — typically shrinks the visited set by the
+        naming-automorphism group order and more).  Mutually exclusive
+        with ``canonicalizer``.
     canonicalizer:
         Explicit state-keying strategy for callers that need one beyond
         the two ``reduction`` presets (the benchmark harness compares
@@ -248,9 +246,6 @@ def explore(
         :data:`~repro.obs.telemetry.NULL_TELEMETRY`, which disables all
         recording; results are identical either way (pinned by the
         differential tests in ``tests/obs/test_telemetry.py``).
-    footprints / max_group:
-        Forwarded to the canonicalizer builder when
-        ``reduction="symmetry"``; ignored (and unvalidated) otherwise.
     request:
         A :class:`~repro.request.RunRequest` carrying the execution
         fields (``backend``, ``max_states``, ``telemetry``) as one value — the unified spelling shared with
@@ -275,6 +270,7 @@ def explore(
     """
     # Imported here, not at module top: backends imports
     # ExplorationResult from this module.
+    from repro.request import check_backend
     from repro.runtime.backends import ExplorationTask
     from repro.runtime.kernel import StepInstance
 
@@ -295,9 +291,7 @@ def explore(
             canonicalizer = TrivialCanonicalizer(scheduler)
         elif reduction == "symmetry":
             with telemetry.phase("explore.build_canonicalizer"):
-                canonicalizer = build_canonicalizer(
-                    system, footprints=footprints, max_group=max_group
-                )
+                canonicalizer = build_canonicalizer(system)
         else:
             raise ConfigurationError(
                 f"unknown reduction {reduction!r}; expected 'symmetry' or 'none'"
@@ -316,10 +310,8 @@ def explore(
         from repro.runtime.compiled import CompiledBackend
 
         backend = CompiledBackend()
-    elif isinstance(backend, str):
-        raise ConfigurationError(
-            f"backend must be an ExplorationBackend instance, got {backend!r}"
-        )
+    else:
+        check_backend(backend)
 
     task = ExplorationTask(
         instance=StepInstance.from_system(system),

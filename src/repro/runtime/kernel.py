@@ -103,8 +103,7 @@ class StepInstance:
     process's private-to-physical register permutation (the naming
     assignment, fixed for the run), and the inputs (for validity-style
     invariants).  A ``StepInstance`` is immutable after construction and
-    contains no locks, views or live memory — it ships to worker
-    processes with one pickle.
+    contains no locks, views or live memory, so it pickles whole.
 
     ``pid_order`` preserves the scheduler's iteration order (system
     construction order), so :func:`enabled_pids` enumerates processes
@@ -328,8 +327,8 @@ class StateView:
     read ``system.scheduler.runtimes()`` / ``.outputs()`` /
     ``system.inputs``.  A ``StateView`` supports exactly that duck-typed
     surface — including ``view.scheduler is view`` so both spellings
-    work — without any scheduler, which lets backends (local or in a
-    worker process) check invariants on value states directly.
+    work — without any scheduler, which lets backends check invariants
+    on value states directly.
 
     The surface is read-only: there is no ``step``, no ``run``, no
     ``crash``.  Invariants that mutate the system were never sound under

@@ -115,13 +115,15 @@ class TestBudgets:
 
 
 class TestConfiguration:
-    def test_process_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="serial per episode"):
+    def test_backend_instance_rejected(self):
+        from repro.runtime.backends import SerialBackend
+
+        with pytest.raises(ConfigurationError, match="takes no backend"):
             run_fuzz(
                 RunRequest(
                     problem="figure-1-mutex",
                     instance="figure-1-mutex(m=3)",
-                    backend="process",
+                    backend=SerialBackend(),
                 )
             )
 

@@ -148,7 +148,7 @@ class TestExplorationIsTelemetryInvariant:
         assert names[0] == "explore.start"
         assert names[-1] == "explore.done"
         start = list(tel.events())[0][2]
-        assert start["engine"] == "compiled"
+        assert start["engine"] == "packed"
         assert start["reduction"] == "symmetry"
         done = list(tel.events())[-1][2]
         assert done["verdict"] == "exhaustive-ok"

@@ -8,8 +8,8 @@ the differential oracle of the default packed walker
 is pinned by ``test_compiled.py``).  The tests here pin, for both, the
 budget-truncation accounting, the inert self-loop acceleration's
 livelock break and the untouched system; for the walker, that a spawned
-process reproduces its results and that its violation schedules
-replay; plus the executor pair the sweep harness fans out over.
+interpreter reproduces its results and that its violation schedules
+replay; and that an exploration task pickles whole.
 """
 
 import multiprocessing
@@ -17,17 +17,11 @@ import pickle
 
 import pytest
 
-from repro.analysis.experiments import sweep
 from repro.core.mutex import AnonymousMutex
-from repro.errors import ConfigurationError, ExplorationLimitExceeded
-from repro.memory.naming import IdentityNaming
-from repro.runtime.adversary import RandomAdversary, RoundRobinAdversary
+from repro.errors import ExplorationLimitExceeded
+from repro.runtime.adversary import RoundRobinAdversary
 from repro.runtime.automaton import Algorithm, ProcessAutomaton
-from repro.runtime.backends import (
-    ProcessExecutor,
-    SerialBackend,
-    SerialExecutor,
-)
+from repro.runtime.backends import SerialBackend
 from repro.runtime.canonical import build_canonicalizer
 from repro.runtime.compiled import CompiledBackend
 from repro.runtime.exploration import (
@@ -38,7 +32,6 @@ from repro.runtime.exploration import (
 from repro.runtime.ops import ReadOp
 from repro.runtime.replay import replay_schedule
 from repro.runtime.system import System
-from repro.spec.mutex_spec import MutualExclusionChecker
 
 from tests.conftest import pids
 from tests.runtime.test_exploration_differential import (
@@ -49,12 +42,6 @@ from tests.runtime.test_exploration_differential import (
 
 def mutex_system(m=3, record_trace=False):
     return System(AnonymousMutex(m=m, cs_visits=1), pids(2), record_trace=record_trace)
-
-
-class TestExecutorConfiguration:
-    def test_nonpositive_executor_workers_are_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(workers=0)
 
 
 def _walk_outcome(reduction):
@@ -74,12 +61,13 @@ class TestDefaultWalkerAcrossProcesses:
     def test_spawn_context_reproduces_in_process_results(self):
         # A spawned worker runs a fresh interpreter with its own hash
         # seed and interns ids in its own order of first sight: equal
-        # results pin that nothing observable depends on either.
+        # results pin that nothing observable depends on either.  A
+        # resumed farm relies on this: its graph digests and records
+        # come from whichever process drained the cell.
         reductions = ["trivial", "symmetry"]
         local = [_walk_outcome(reduction) for reduction in reductions]
-        spawned = ProcessExecutor(
-            workers=2, mp_context=multiprocessing.get_context("spawn")
-        ).map(_walk_outcome, reductions)
+        with multiprocessing.get_context("spawn").Pool(2) as pool:
+            spawned = pool.map_async(_walk_outcome, reductions).get(timeout=300)
         assert spawned == local
         assert local[1][1] >= 2  # the symmetry group actually engaged
 
@@ -91,7 +79,7 @@ class TestDefaultWalkerViolations:
             factory(), invariant, reduction="symmetry", backend=SerialBackend()
         )
         walker = explore(factory(), invariant, reduction="symmetry")
-        assert walker.backend == "compiled"
+        assert walker.backend == "packed"
         assert not serial.ok and not walker.ok
         assert serial.truncated_by == "violation"
         assert walker.truncated_by == "violation"
@@ -103,7 +91,7 @@ class TestDefaultWalkerViolations:
 
 BACKENDS = [
     pytest.param(lambda: SerialBackend(), id="serial"),
-    pytest.param(lambda: CompiledBackend(), id="compiled"),
+    pytest.param(lambda: CompiledBackend(), id="packed"),
 ]
 
 
@@ -313,56 +301,6 @@ class TestStatesPerSecond:
         assert self.base(wall_seconds=0.5).states_per_second == 200.0
 
 
-# ---------------------------------------------------------------------------
-# Executors (sweep fan-out)
-# ---------------------------------------------------------------------------
-
-
-def _square(value: int) -> int:
-    return value * value
-
-
-class TestExecutors:
-    def test_serial_executor_runs_initializer_in_process(self):
-        seen = []
-        executor = SerialExecutor()
-        out = executor.map(
-            _square, [3, 1, 2], initializer=seen.append, initargs=("ready",)
-        )
-        assert out == [9, 1, 4]
-        assert seen == ["ready"]
-
-    def test_process_executor_preserves_order(self):
-        out = ProcessExecutor(workers=2).map(_square, list(range(10)))
-        assert out == [n * n for n in range(10)]
-
-    def test_process_executor_empty_items_short_circuit(self):
-        assert ProcessExecutor(workers=2).map(_square, []) == []
-
-    def test_sweep_records_identical_under_both_executors(self):
-        def run(backend):
-            return sweep(
-                lambda: AnonymousMutex(m=3, cs_visits=1),
-                pids(2),
-                namings=[IdentityNaming()],
-                adversaries=[RoundRobinAdversary()]
-                + [RandomAdversary(seed) for seed in range(3)],
-                checkers_factory=lambda: [MutualExclusionChecker()],
-                max_steps=20_000,
-                backend=backend,
-            )
-
-        serial = run(SerialExecutor())
-        parallel = run(ProcessExecutor(workers=2))
-        assert serial.runs == parallel.runs == 4
-        for ours, theirs in zip(serial.records, parallel.records):
-            assert ours.naming == theirs.naming
-            assert ours.adversary == theirs.adversary
-            assert ours.ok == theirs.ok
-            assert ours.metrics == theirs.metrics
-            assert ours.trace.events == theirs.trace.events
-
-
 class TestTaskPickling:
     def test_a_whole_task_round_trips(self):
         from repro.runtime.backends import ExplorationTask
@@ -381,6 +319,3 @@ class TestTaskPickling:
         assert copy.initial == task.initial
         original = task.canonicalizer.key_of_state(task.initial)
         assert copy.canonicalizer.key_of_state(copy.initial) == original
-        # The unpickled canonicalizer has no live scheduler to read.
-        with pytest.raises(RuntimeError, match="key_of_state"):
-            copy.canonicalizer.key_of()

@@ -135,7 +135,7 @@ def keys_after(system, canonicalizer, initial, schedule):
     system.scheduler.restore_state(initial)
     for pid in schedule:
         system.scheduler.step(pid)
-    return canonicalizer.key_of()
+    return canonicalizer.key_of_state(system.scheduler.capture_state())
 
 
 class TestOrbitInvariance:
@@ -185,7 +185,7 @@ class TestCompactEncoding:
     def test_trivial_keys_equal_raw_keys(self):
         system = mutex_system()
         canonicalizer = TrivialCanonicalizer(system.scheduler)
-        key, raw = canonicalizer.key_of()
+        key, raw = canonicalizer.key_of_state(system.scheduler.capture_state())
         assert key == raw
 
     def test_keys_are_stable_across_restore(self):
@@ -195,10 +195,10 @@ class TestCompactEncoding:
         p, _ = pids(2)
         scheduler.step(p)
         snapshot = scheduler.capture_state()
-        key_before, _ = canonicalizer.key_of()
+        key_before, _ = canonicalizer.key_of_state(scheduler.capture_state())
         scheduler.step(p)
         scheduler.restore_state(snapshot)
-        key_after, _ = canonicalizer.key_of()
+        key_after, _ = canonicalizer.key_of_state(scheduler.capture_state())
         assert key_before == key_after
 
     def test_interning_is_injective_along_a_run(self):
@@ -214,7 +214,7 @@ class TestCompactEncoding:
             if not scheduler.runtime(pid).enabled:
                 break
             scheduler.step(pid)
-            key, raw = canonicalizer.key_of()
+            key, raw = canonicalizer.key_of_state(scheduler.capture_state())
             assert key == raw
             state = scheduler.capture_state()
             if key in seen:
@@ -222,7 +222,7 @@ class TestCompactEncoding:
             else:
                 seen[key] = state
         assert len(seen) > 10
-        assert canonicalizer.interned_objects > 0
+        assert len(canonicalizer._intern) > 0
 
     def test_describe_mentions_group_and_footprints(self):
         description = build_canonicalizer(mutex_system()).describe()
@@ -296,19 +296,30 @@ class TestCanonicalizerPickling:
         for _ in range(80):
             state = scheduler.capture_state()
             assert copy.key_of_state(state) == canonicalizer.key_of_state(state)
-            # The live canonicalizer's two entry points agree too.
-            assert canonicalizer.key_of() == canonicalizer.key_of_state(state)
             enabled = scheduler.enabled_pids()
             if not enabled:
                 break
             scheduler.step(rng.choice(enabled))
 
-    def test_unpickled_copy_refuses_the_live_entry_point(self):
-        import pytest
+    def test_holds_no_live_object_and_no_custom_pickling(self):
+        # The constructor reads the pid order at build time; nothing of
+        # the scheduler stays behind, so no custom pickling is needed.
+        from repro.memory.anonymous import AnonymousMemory
+        from repro.runtime.canonical import Canonicalizer
+        from repro.runtime.scheduler import ProcessRuntime, Scheduler
 
-        copy = pickle.loads(pickle.dumps(build_canonicalizer(mutex_system())))
-        with pytest.raises(RuntimeError, match="use key_of_state"):
-            copy.key_of()
+        system = mutex_system()
+        for canonicalizer in (
+            build_canonicalizer(system),
+            TrivialCanonicalizer(system.scheduler),
+        ):
+            live = (Scheduler, AnonymousMemory, ProcessRuntime)
+            assert not any(
+                isinstance(value, live) for value in vars(canonicalizer).values()
+            )
+            assert canonicalizer.pid_order == tuple(sorted(system.scheduler.pids))
+        assert "__getstate__" not in vars(Canonicalizer)
+        assert "__setstate__" not in vars(Canonicalizer)
 
     def test_fresh_canonicalizers_agree_on_keys(self):
         # Content addressing: no interning-order dependence.  Two

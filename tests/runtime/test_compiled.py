@@ -88,7 +88,7 @@ class TestWalkerMatchesOracle:
         oracle = run(SerialBackend())
         walker = run(None)
         assert fingerprint(oracle) == fingerprint(walker)
-        assert walker.backend == "compiled"
+        assert walker.backend == "packed"
 
     @pytest.mark.parametrize(
         "budgets",
@@ -449,7 +449,7 @@ class TestLaziness:
             spec.system(inst), spec.invariant, backend=SerialBackend(),
             **budgets,
         )
-        assert walker.backend == "compiled"
+        assert walker.backend == "packed"
         assert walker.truncated_by == "max_states"
         assert min(walker.interned_locals) > 0
         assert fingerprint(walker) == fingerprint(oracle)
@@ -458,7 +458,7 @@ class TestLaziness:
 class TestDefaultEngine:
     def test_explore_runs_the_packed_walker_by_default(self):
         result = explore(mutex_system(), mutual_exclusion_invariant)
-        assert result.backend == "compiled"
+        assert result.backend == "packed"
         assert result.interned_locals == (39, 39)
 
     def test_the_kernel_keyword_is_gone(self):
@@ -495,7 +495,7 @@ class TestVerifyOnTheWalker:
             spec, inst, request=RunRequest(backend=SerialBackend())
         )
         walker = verify_instance(spec, inst)
-        assert walker.exploration.backend == "compiled"
+        assert walker.exploration.backend == "packed"
         assert oracle.exploration.backend == "serial"
         assert fingerprint(walker.exploration) == fingerprint(
             oracle.exploration

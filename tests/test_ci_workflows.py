@@ -7,10 +7,13 @@ two jobs into one without any error — every job must say where it
 runs and what it does, and every path the ``ruff`` and ``mypy`` jobs
 name must exist, so a moved or deleted module fails here rather than
 only on the CI runner.  The sweep smoke's live-oracle step is run here
-against a real farm, and must fail on a tampered row.
+against a real farm, and must fail on a tampered row; the verify smoke's
+report check is run on real manifests, and must fail on one that names
+another engine.
 """
 
 import json
+import shlex
 import sqlite3
 import textwrap
 from pathlib import Path
@@ -88,10 +91,10 @@ def test_every_path_the_linters_name_exists(tool):
     assert not missing, f"ci.yml {tool} job names missing paths: {missing}"
 
 
-def smoke_step_script(name):
-    """The Python heredoc of one named step of the sweep-farm-smoke job."""
+def smoke_step_script(name, job_name="sweep-farm-smoke"):
+    """The Python heredoc of one named step of a smoke job."""
     job = load((ROOT / ".github" / "workflows" / "ci.yml").read_text())["jobs"][
-        "sweep-farm-smoke"
+        job_name
     ]
     names = [step.get("name") for step in job["steps"]]
     run = job["steps"][names.index(name)]["run"]
@@ -139,3 +142,50 @@ def test_the_live_oracle_step_passes_a_farm_and_fails_a_tampered_row(
     db.close()
     with pytest.raises(AssertionError):
         exec(compile(script, LIVE_ORACLE_STEP, "exec"), {})
+
+
+VERIFY_REPORT_STEP = "Validate and render the verify manifests"
+
+
+def verify_smoke_instances():
+    """The ``--instance`` labels the verify smoke's `repro verify` step passes."""
+    job = load((ROOT / ".github" / "workflows" / "ci.yml").read_text())["jobs"][
+        "verify-smoke"
+    ]
+    steps = job["steps"]
+    (run,) = [step["run"] for step in steps if "repro verify" in step.get("run", "")]
+    words = shlex.split(run)
+    return [words[i + 1] for i, word in enumerate(words) if word == "--instance"]
+
+
+def test_the_verify_report_step_passes_real_manifests_and_fails_a_compiled_one(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.__main__ import main
+
+    _, script = smoke_step_script(VERIFY_REPORT_STEP, "verify-smoke")
+    assert "packed x1" in script
+    monkeypatch.chdir(tmp_path)
+    instances = verify_smoke_instances()
+    assert len(instances) == 3
+    argv = ["verify", "--telemetry", "verify-manifests"]
+    for label in instances:
+        argv += ["--instance", label]
+    assert main(argv) == 0
+
+    def render_and_check():
+        capsys.readouterr()
+        assert main(["report", "verify-manifests"]) == 0
+        Path("report.txt").write_text(capsys.readouterr().out)
+        exec(compile(script, VERIFY_REPORT_STEP, "exec"), {})
+
+    render_and_check()
+
+    manifests = sorted(Path("verify-manifests").glob("*.json"))
+    assert len(manifests) == len(instances)
+    document = json.loads(manifests[0].read_text())
+    assert document["backend"] == "packed"
+    document["backend"] = "compiled"
+    manifests[0].write_text(json.dumps(document))
+    with pytest.raises(AssertionError, match="not on the packed walker"):
+        render_and_check()

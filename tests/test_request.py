@@ -1,4 +1,5 @@
-"""RunRequest: validation, registry resolution, and the removed shims.
+"""RunRequest: validation, registry resolution, the one meaning of
+``backend``, and the removed shims.
 
 The pre-request execution keywords of ``verify_instance`` and
 ``sweep_problem`` (and their ``DeprecationWarning`` text) are gone; the
@@ -15,6 +16,7 @@ from repro.analysis.experiments import sweep_problem
 from repro.errors import ConfigurationError
 from repro.problems import get_problem
 from repro.request import RunRequest, resolve_target
+from repro.runtime.backends import SerialBackend
 from repro.verify.runner import verify_instance
 
 
@@ -30,8 +32,19 @@ class TestRunRequestValidation:
         with pytest.raises(ConfigurationError) as err:
             RunRequest(backend="cluster")
         assert str(err.value) == (
-            "unknown backend 'cluster'; expected 'serial' or 'process'"
+            "backend must be an ExplorationBackend instance such as "
+            "SerialBackend(), or None for the packed walker; got 'cluster'"
         )
+
+    @pytest.mark.parametrize("name", ["serial", "process", "packed"])
+    def test_backend_names_fail_before_any_work(self, name):
+        # A name fails where the request is built, before any work.
+        with pytest.raises(ConfigurationError, match="ExplorationBackend"):
+            RunRequest(backend=name)
+
+    def test_backend_instance_is_accepted(self):
+        backend = SerialBackend()
+        assert RunRequest(backend=backend).backend is backend
 
     def test_parallel_backend_is_gone(self):
         with pytest.raises(ConfigurationError):
@@ -186,3 +199,56 @@ class TestRemovedShims:
                 request=RunRequest(max_steps=500),
             )
         assert result.runs == 1
+
+
+# -- entry points that cannot honour a backend ---------------------------
+
+ORACLE = RunRequest(
+    problem="figure-1-mutex",
+    instance="figure-1-mutex(m=3)",
+    backend=SerialBackend(),
+)
+
+
+class TestBackendIsHonouredOrRefused:
+    def test_verify_instance_runs_the_oracle(self):
+        report = verify_instance(request=ORACLE)
+        assert report.ok
+        assert report.exploration.backend == "serial"
+
+    def test_verify_instance_defaults_to_the_packed_walker(self):
+        report = verify_instance(request=ORACLE.replace(backend=None))
+        assert report.exploration.backend == "packed"
+
+    def test_sweep_problem_refuses_a_backend(self):
+        from repro.memory.naming import IdentityNaming
+        from repro.runtime.adversary import RandomAdversary
+
+        with pytest.raises(ConfigurationError, match="sweep_problem takes no backend"):
+            sweep_problem(
+                "figure-1-mutex",
+                namings=[IdentityNaming()],
+                adversaries=[RandomAdversary(1)],
+                checkers_factory=lambda: [],
+                request=ORACLE,
+            )
+
+    def test_run_fuzz_refuses_a_backend(self):
+        from repro.fuzz.engine import run_fuzz
+
+        with pytest.raises(ConfigurationError, match="run_fuzz takes no backend"):
+            run_fuzz(ORACLE, episodes=1)
+
+    def test_run_farm_refuses_a_backend_before_draining(self, tmp_path):
+        from repro.farm import create_farm, farm_result, run_farm
+
+        create_farm(tmp_path / "farm", {
+            "problem": "figure-1-mutex",
+            "instance": "figure-1-mutex(m=3)",
+            "namings": [{"type": "identity"}],
+            "adversaries": [{"type": "round-robin"}],
+            "max_steps": 500,
+        })
+        with pytest.raises(ConfigurationError, match="run_farm takes no backend"):
+            run_farm(tmp_path / "farm", request=ORACLE)
+        assert farm_result(tmp_path / "farm").done == []
